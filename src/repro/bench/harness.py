@@ -47,9 +47,9 @@ def measure(
     the OS peak-RSS delta (``ru_maxrss`` growth across the call, see
     :func:`repro.bench.memory.peak_rss_delta_mb`).  Per-malloc tracing
     slows allocation-heavy vectorized code by an order of magnitude, so
-    pure wall-clock workloads (the ``kernel`` and ``scale`` bench presets)
-    must opt out to measure the real hot path; they still get a real —
-    if coarser — memory number instead of the former hard-coded 0.0.
+    pure wall-clock workloads must opt out to measure the real hot path;
+    they still get a real — if coarser — memory number instead of the
+    former hard-coded 0.0.
     """
     recorder = get_recorder()
     timer = recorder if recorder.enabled else Recorder()

@@ -75,7 +75,7 @@ class GreedySolver(GEPCSolver):
             # A user's kernel row only invalidates when *their own* plan
             # changes, so priming every row up front in one batched pass is
             # behaviour-identical to the lazy per-user computation — and
-            # replaces n_users cold rowwise calls with one user×event pass.
+            # replaces n_users cold per-user row calls with one user×event pass.
             planes = None
             # Under the tiled backend, the spatial index tells us which
             # users can reach at least one event within budget.  A user

@@ -3,27 +3,22 @@
 :class:`~repro.core.plan.GlobalPlan` caches, per user, the pair
 ``(insertion_deltas, feasible_mask)`` its solvers' inner loops run on.
 This module owns the *math* that produces those rows, behind a strategy
-interface so the same cache can be filled three interchangeable ways:
+interface so the same cache can be filled two interchangeable ways:
 
 ``batched`` (default)
-    One vectorized user×event pass: :meth:`KernelStrategy.block` computes
-    the delta matrix and feasibility mask for a whole batch of users at
-    once (chunked so the ``batch × plan-length × events`` intermediate
-    stays small).  Single rows reuse the rowwise math.
-``rowwise``
-    The PR-2 per-user vectorized row (``DistanceMatrix`` row slices +
-    ``searchsorted`` splice positions) — the reference numpy path.
+    The production path.  :meth:`KernelStrategy.row` evaluates every
+    candidate event of one user at once (``DistanceMatrix`` row slices +
+    ``searchsorted`` splice positions); :meth:`KernelStrategy.block`
+    computes the delta matrix and feasibility mask for a whole batch of
+    users in one vectorized pass (chunked so the ``batch × plan-length ×
+    events`` intermediate stays small).
 ``scalar``
     Pure-python per-event splice arithmetic — slow by design, the ground
-    truth the vectorized strategies are audited and fuzzed against.
-``numba``
-    Optional compiled row kernel, registered only when :mod:`numba` is
-    importable (skip-guarded like the optional ILP solvers elsewhere in
-    the tree; selecting it without numba installed fails loudly).
+    truth the batched strategy is audited and fuzzed against.
 
-All strategies are **bit-identical**: every elementwise float operation is
-performed in the same order, so deltas compare equal with ``==`` and the
-masks match exactly.  ``repro.check`` enforces this
+Both strategies are **bit-identical**: every elementwise float operation
+is performed in the same order, so deltas compare equal with ``==`` and
+the masks match exactly.  ``repro.check`` enforces this
 (:meth:`InvariantAuditor.audit_kernel_strategies`, the differential
 fuzzer) and CI pins each strategy via the ``REPRO_KERNEL`` env flag.
 
@@ -46,15 +41,7 @@ from repro.obs import get_recorder
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.plan import GlobalPlan
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-except ImportError:  # pragma: no cover - the common (pure numpy) build
-    numba = None
-
-#: Whether the optional compiled kernel can be selected at all.
-NUMBA_AVAILABLE = numba is not None
-
-#: Environment flag CI pins per matrix leg: ``batched|rowwise|scalar``.
+#: Environment flag CI pins per matrix leg: ``batched|scalar``.
 ENV_VAR = "REPRO_KERNEL"
 
 #: Strategy used when ``REPRO_KERNEL`` is unset.
@@ -94,21 +81,6 @@ class KernelStrategy:
         return deltas, mask
 
 
-def _row_mask(
-    plan: "GlobalPlan", user: int, deltas: np.ndarray
-) -> np.ndarray:
-    """Feasibility mask from a finished delta row (shared numpy epilogue)."""
-    instance = plan.instance
-    mask = instance.utility[user] > 0.0
-    mask &= plan._blocked_row(user) == 0
-    budget = instance.users[user].budget
-    mask &= plan._route_costs[user] + deltas <= budget + BUDGET_TOL
-    events = plan._plans[user]
-    if events:
-        mask[events] = False
-    return mask
-
-
 class ScalarKernel(KernelStrategy):
     """Pure-python reference: per-event scalar splice arithmetic."""
 
@@ -140,10 +112,24 @@ class ScalarKernel(KernelStrategy):
         return deltas, mask
 
 
-class RowwiseKernel(KernelStrategy):
-    """Per-user vectorized row over ``DistanceMatrix`` slices (PR-2 path)."""
+class BatchedKernel(KernelStrategy):
+    """Vectorized rows and a fully batched user×event block pass.
 
-    name = "rowwise"
+    :meth:`row` evaluates every candidate event of one user at once over
+    ``DistanceMatrix`` row slices.  The :meth:`block` path computes every
+    busy user's splice positions in one ``plan_starts <= starts``
+    comparison (inf-padded to the chunk's longest plan), then evaluates
+    the first/middle/last splice branches as whole matrices.  Operation
+    order matches :meth:`row` element for element, so the results are
+    bit-identical.
+    """
+
+    name = "batched"
+
+    vectorized_block = True
+
+    #: Users per chunk — bounds the ``chunk × kmax × events`` intermediate.
+    chunk_size = 256
 
     def row(
         self, plan: "GlobalPlan", user: int
@@ -173,25 +159,13 @@ class RowwiseKernel(KernelStrategy):
             deltas = np.where(
                 positions == 0, first, np.where(positions == k, last, middle)
             ) + fees
-        return deltas, _row_mask(plan, user, deltas)
-
-
-class BatchedKernel(RowwiseKernel):
-    """Fully batched user×event pass; single rows reuse the rowwise math.
-
-    The block path computes every busy user's splice positions in one
-    ``plan_starts <= starts`` comparison (inf-padded to the chunk's longest
-    plan), then evaluates the first/middle/last splice branches as whole
-    matrices.  Operation order matches the rowwise row element for element,
-    so the results are bit-identical.
-    """
-
-    name = "batched"
-
-    vectorized_block = True
-
-    #: Users per chunk — bounds the ``chunk × kmax × events`` intermediate.
-    chunk_size = 256
+        mask = instance.utility[user] > 0.0
+        mask &= plan._blocked_row(user) == 0
+        budget = instance.users[user].budget
+        mask &= plan._route_costs[user] + deltas <= budget + BUDGET_TOL
+        if events:
+            mask[events] = False
+        return deltas, mask
 
     def block(
         self, plan: "GlobalPlan", users: np.ndarray
@@ -268,7 +242,7 @@ class BatchedKernel(RowwiseKernel):
             plan_starts[i, : len(events)] = starts[events]
         # positions[i, j] = searchsorted(plan_starts_i, starts_j, "right"):
         # how many of user i's plan starts are <= candidate j's start.  The
-        # inf padding never counts, so padded rows agree with the rowwise
+        # inf padding never counts, so padded rows agree with row()'s
         # searchsorted over the unpadded plan.
         positions = (plan_starts[:, :, None] <= starts[None, None, :]).sum(
             axis=1
@@ -391,55 +365,6 @@ class SplicePlanes:
         )
 
 
-if NUMBA_AVAILABLE:  # pragma: no cover - requires the optional numba build
-
-    @numba.njit(cache=True)
-    def _numba_row_deltas(events, starts, user_row, ee, fees, out):
-        k = events.shape[0]
-        m = out.shape[0]
-        for e in range(m):
-            fee = fees[e]
-            if k == 0:
-                out[e] = 2.0 * user_row[e] + fee
-                continue
-            start = starts[e]
-            position = 0
-            while position < k and starts[events[position]] <= start:
-                position += 1
-            if position == 0:
-                s = events[0]
-                delta = -user_row[s] + user_row[e] + ee[e, s]
-            elif position == k:
-                p = events[k - 1]
-                delta = -user_row[p] + ee[p, e] + user_row[e]
-            else:
-                p = events[position - 1]
-                s = events[position]
-                delta = -ee[p, s] + ee[p, e] + ee[e, s]
-            out[e] = delta + fee
-
-    class NumbaKernel(KernelStrategy):
-        """Compiled per-row kernel (same scalar op order → bit-identical)."""
-
-        name = "numba"
-
-        def row(
-            self, plan: "GlobalPlan", user: int
-        ) -> tuple[np.ndarray, np.ndarray]:
-            instance = plan.instance
-            d = instance.distances
-            deltas = np.empty(instance.n_events, dtype=float)
-            _numba_row_deltas(
-                np.asarray(plan._plans[user], dtype=np.int64),
-                instance.event_starts,
-                d.user_event_row(user),
-                d.event_event_matrix,
-                instance.fee_vector,
-                deltas,
-            )
-            return deltas, _row_mask(plan, user, deltas)
-
-
 # --------------------------------------------------------------------- #
 # Registry and selection
 # --------------------------------------------------------------------- #
@@ -455,28 +380,19 @@ def register_strategy(strategy: KernelStrategy) -> KernelStrategy:
 
 
 register_strategy(ScalarKernel())
-register_strategy(RowwiseKernel())
 register_strategy(BatchedKernel())
-if NUMBA_AVAILABLE:  # pragma: no cover - requires the optional numba build
-    register_strategy(NumbaKernel())
 
 
 def available_strategies() -> tuple[str, ...]:
-    """Registered strategy names (``numba`` only when importable)."""
+    """Registered strategy names."""
     return tuple(sorted(_STRATEGIES))
 
 
 def resolve_strategy(name: str) -> KernelStrategy:
-    """Look up a strategy by name; unknown/unavailable names fail loudly."""
+    """Look up a strategy by name; unknown names fail loudly."""
     try:
         return _STRATEGIES[name]
     except KeyError:
-        if name == "numba":
-            raise ValueError(
-                "REPRO_KERNEL=numba requires the optional numba package "
-                "(not installed); available strategies: "
-                + ", ".join(available_strategies())
-            ) from None
         raise ValueError(
             f"unknown kernel strategy {name!r}; available: "
             + ", ".join(available_strategies())

@@ -1,7 +1,7 @@
 """RL006 obs-coverage: solver/platform entry points record telemetry.
 
 PR 1 threaded ``repro.obs`` through every hot path precisely so that
-regressions show up in traces and the CI bench gate; an entry point that
+regressions show up in traces and ``--trace`` tables; an entry point that
 never touches the recorder is a blind spot — its cost is silently folded
 into whichever parent span happens to be open.  Public methods named like
 entry points (``solve``, ``apply``, ``submit``, ``flush``, ...) in solver
@@ -65,7 +65,7 @@ class ObsCoverage(Rule):
                     func,
                     f"entry point `{qualname}` never records telemetry — "
                     "open `obs.span(...)` (or emit a counter) around the "
-                    "hot phase so traces and the bench gate can see it "
+                    "hot phase so traces and `--trace` tables can see it "
                     "(docs/observability.md)",
                 )
             )

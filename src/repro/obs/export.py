@@ -1,8 +1,7 @@
 """Exporters: render a recorder as a per-phase text table or JSON.
 
 The text form is what ``repro-gepc --trace`` prints to stderr; the JSON
-form (``--trace-json`` and ``bench/report.py``) is the machine-readable
-schema CI diffs against a committed baseline.
+form is what ``--trace-json`` writes, for machine consumption.
 """
 
 from __future__ import annotations

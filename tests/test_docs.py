@@ -62,6 +62,34 @@ class TestReferencedPathsExist:
             assert (ROOT / "benchmarks" / match).exists(), match
 
 
+REFERENCE_DOCS = ["README.md", "CONTRIBUTING.md"] + sorted(
+    str(path.relative_to(ROOT)) for path in (ROOT / "docs").glob("*.md")
+)
+
+
+class TestCommandReferencesExist:
+    """Commands and data files the user-facing docs tell readers to use."""
+
+    @pytest.mark.parametrize("name", REFERENCE_DOCS)
+    def test_python_m_modules(self, name):
+        for module in re.findall(
+            r"python3?\s+-m\s+(repro(?:\.\w+)+)", text_of(name)
+        ):
+            path = ROOT / "src" / Path(*module.split("."))
+            assert (
+                path.with_suffix(".py").exists()
+                or (path / "__init__.py").exists()
+            ), f"{name}: {module}"
+
+    @pytest.mark.parametrize("name", REFERENCE_DOCS)
+    def test_script_and_result_paths(self, name):
+        for match in re.findall(
+            r"\b((?:scripts|perfbench)/[\w/]+\.py|results/[\w*]+\.json)\b",
+            text_of(name),
+        ):
+            assert list(ROOT.glob(match)), f"{name}: {match}"
+
+
 class TestPublicAPIInDocs:
     def test_api_doc_solver_names_resolve(self):
         """The solver table in docs/api.md names real top-level classes."""

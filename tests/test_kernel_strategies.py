@@ -1,10 +1,12 @@
 """repro.core.kernel: strategy registry, selection, and bit-identity.
 
-The contract under test is the one CI's kernel matrix and the bench
-``equal_utility_vs`` gate rely on: every registered strategy produces the
+The contract under test is the one CI's ``REPRO_KERNEL=scalar`` leg relies
+on: the batched production strategy and the scalar oracle produce the
 *same IEEE doubles* for (insertion_deltas, feasible_mask), so switching
 ``REPRO_KERNEL`` can never change a plan.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +17,19 @@ from repro.core.plan import GlobalPlan, PlanSummary
 from repro.datasets import make_city
 from tests.conftest import random_instance
 
-STRATEGIES = ["scalar", "rowwise", "batched"]
+STRATEGIES = ["scalar", "batched"]
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _kernel_follows_env_after_module():
+    """No test here may leave a strategy pinned against ``REPRO_KERNEL``.
+
+    A leaked pin would silently run the rest of the session on the wrong
+    strategy (e.g. the scalar CI leg on the batched path).
+    """
+    yield
+    want = os.environ.get(kernel.ENV_VAR, kernel.DEFAULT_STRATEGY)
+    assert kernel.active_kernel().name == want
 
 
 def _planned_instance(seed=0):
@@ -30,7 +44,7 @@ def _planned_instance(seed=0):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("name", ["rowwise", "batched"])
+@pytest.mark.parametrize("name", ["batched"])
 def test_rows_bit_identical_to_scalar(name):
     _, plan = _planned_instance()
     scalar = kernel.resolve_strategy("scalar")
@@ -63,10 +77,9 @@ def test_random_instances_bit_identical(seed):
     scalar = kernel.resolve_strategy("scalar")
     users = np.arange(instance.n_users)
     want = scalar.block(plan, users)
-    for name in ("rowwise", "batched"):
-        got = kernel.resolve_strategy(name).block(plan, users)
-        assert np.array_equal(got[0], want[0]), name
-        assert np.array_equal(got[1], want[1]), name
+    got = kernel.resolve_strategy("batched").block(plan, users)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("name", STRATEGIES)
@@ -98,12 +111,8 @@ def test_scalar_splice_matches_plan_splice():
 # --------------------------------------------------------------------- #
 
 
-def test_available_strategies_contains_core_trio():
-    names = kernel.available_strategies()
-    for name in STRATEGIES:
-        assert name in names
-    if not kernel.NUMBA_AVAILABLE:
-        assert "numba" not in names
+def test_available_strategies_are_batched_and_scalar():
+    assert kernel.available_strategies() == ("batched", "scalar")
 
 
 def test_unknown_strategy_fails_loudly():
@@ -111,23 +120,23 @@ def test_unknown_strategy_fails_loudly():
         kernel.resolve_strategy("turbo")
 
 
-@pytest.mark.skipif(
-    kernel.NUMBA_AVAILABLE, reason="numba installed: selection succeeds"
-)
-def test_numba_unavailable_names_the_missing_package():
-    with pytest.raises(ValueError, match="numba"):
-        kernel.resolve_strategy("numba")
+def test_retired_rowwise_strategy_fails_as_unknown():
+    with pytest.raises(ValueError, match="unknown kernel strategy"):
+        kernel.resolve_strategy("rowwise")
 
 
 def test_env_var_selects_strategy(monkeypatch):
-    monkeypatch.setenv(kernel.ENV_VAR, "rowwise")
-    kernel.set_kernel(None)  # re-resolve from env
-    try:
-        assert kernel.active_kernel().name == "rowwise"
-    finally:
+    before = kernel.active_kernel().name
+    # use_kernel restores the exact prior pin (including "unset") on exit,
+    # so the set_kernel calls below cannot leak into later tests.
+    with kernel.use_kernel(before):
+        monkeypatch.setenv(kernel.ENV_VAR, "scalar")
+        assert kernel.set_kernel(None).name == "scalar"  # re-resolve
+        assert kernel.active_kernel().name == "scalar"
         monkeypatch.delenv(kernel.ENV_VAR)
-        kernel.set_kernel(None)
-    assert kernel.active_kernel().name == kernel.DEFAULT_STRATEGY
+        assert kernel.set_kernel(None).name == kernel.DEFAULT_STRATEGY
+    monkeypatch.undo()
+    assert kernel.active_kernel().name == before
 
 
 def test_use_kernel_restores_previous(monkeypatch):
@@ -135,15 +144,14 @@ def test_use_kernel_restores_previous(monkeypatch):
     with kernel.use_kernel("scalar") as active:
         assert active.name == "scalar"
         assert kernel.active_kernel().name == "scalar"
-        with kernel.use_kernel("rowwise"):
-            assert kernel.active_kernel().name == "rowwise"
+        with kernel.use_kernel("batched"):
+            assert kernel.active_kernel().name == "batched"
         assert kernel.active_kernel().name == "scalar"
     assert kernel.active_kernel().name == before
 
 
 def test_vectorized_block_capability_flag():
     assert kernel.resolve_strategy("batched").vectorized_block
-    assert not kernel.resolve_strategy("rowwise").vectorized_block
     assert not kernel.resolve_strategy("scalar").vectorized_block
 
 
