@@ -12,52 +12,43 @@ state honest:
 * :func:`shadow_checks` (or the ``REPRO_SHADOW_CHECKS`` env var) wraps
   ``GlobalPlan.add``/``remove`` and ``IEPEngine.apply`` so every mutation
   is audited as it happens;
-* :func:`run_fuzz` replays seeded random atomic-operation streams over
-  small Meetup instances and cross-checks the incremental IEP path
-  against a from-scratch rebuild, and the vectorized kernel against the
-  scalar fallbacks (surfaced as ``repro-gepc fuzz``);
-* :func:`run_crash_fuzz` kills a :class:`~repro.platform.durable
-  .DurablePlatform` at seeded-random injection points (with and without
-  torn WAL tails), recovers, and diffs the recovered state against an
-  uncrashed twin (surfaced as ``repro-gepc fuzz --durable``; see
-  ``docs/durability.md``);
-* :func:`run_service_fuzz` drives seeded operation streams through the
-  real planning-service client/server loop and holds every frame in
-  lockstep against an in-process oracle (surfaced as
-  ``repro-gepc fuzz --service``; see ``docs/service.md``);
+* :func:`run_fuzz` is the one differential fuzzer (``repro-gepc fuzz``):
+  a single seed loop over three systems under test, each held against
+  an oracle after every operation — ``engine`` (incremental IEP path
+  vs. a from-scratch rebuild and the vectorized kernel vs. the scalar
+  fallbacks; ``--sharded`` adds the sharded solver and batched
+  platform), ``durable`` (a :class:`~repro.platform.durable
+  .DurablePlatform` killed at every crash point, with and without torn
+  WAL tails, recovered and diffed against an uncrashed
+  :func:`run_twin`; see ``docs/durability.md``) and ``service`` (the
+  real client/server loop in lockstep with an in-process oracle; see
+  ``docs/service.md``);
 * :mod:`repro.check.lockdep` instruments ``threading`` lock creation to
   record the runtime lock-acquisition order (cross-checked against the
   static RL010 declared-order table) and heartbeats the service event
-  loop to catch stalls — rides along with the service fuzz leg under
+  loop to catch stalls — rides along with the service fuzz target under
   ``REPRO_SHADOW_CHECKS=1``.
 
 See ``docs/correctness.md`` for the full guide.
 """
 
 from repro.check.auditor import AuditReport, CacheMismatch, InvariantAuditor
-from repro.check.crashfuzz import (
-    CrashFuzzConfig,
-    CrashFuzzSummary,
-    CrashScenarioReport,
+from repro.check.fuzz import (
+    TARGETS,
+    FuzzConfig,
+    FuzzReport,
+    FuzzSummary,
     TwinState,
-    crash_fuzz_seed,
-    run_crash_fuzz,
+    fuzz_instance,
+    run_fuzz,
     run_twin,
 )
-from repro.check.fuzz import FuzzConfig, FuzzSummary, SeedReport, fuzz_seed, run_fuzz
 from repro.check.lockdep import (
     LockDep,
     LockDepSummary,
     LoopWatchdog,
     lockdep_checks,
     maybe_lockdep,
-)
-from repro.check.servicefuzz import (
-    ServiceFuzzConfig,
-    ServiceFuzzSummary,
-    ServiceSeedReport,
-    run_service_fuzz,
-    service_fuzz_seed,
 )
 from repro.check.shadow import (
     ENV_VAR,
@@ -70,33 +61,25 @@ from repro.check.shadow import (
 
 __all__ = [
     "ENV_VAR",
+    "TARGETS",
     "AuditReport",
     "CacheMismatch",
-    "CrashFuzzConfig",
-    "CrashFuzzSummary",
-    "CrashScenarioReport",
     "FuzzConfig",
+    "FuzzReport",
     "FuzzSummary",
     "InvariantAuditor",
     "LockDep",
     "LockDepSummary",
     "LoopWatchdog",
-    "SeedReport",
-    "ServiceFuzzConfig",
-    "ServiceFuzzSummary",
-    "ServiceSeedReport",
     "ShadowCheckError",
     "ShadowStats",
     "TwinState",
-    "crash_fuzz_seed",
-    "fuzz_seed",
+    "fuzz_instance",
     "lockdep_checks",
     "maybe_lockdep",
     "maybe_shadow_checks",
-    "run_crash_fuzz",
     "run_fuzz",
     "run_twin",
-    "service_fuzz_seed",
     "shadow_checks",
     "shadow_checks_enabled",
 ]

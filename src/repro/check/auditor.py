@@ -50,8 +50,9 @@ class CacheMismatch:
             parts.append(f"user={self.user}")
         if self.event is not None:
             parts.append(f"event={self.event}")
-        parts.append(f"cached={self.cached!r}")
-        parts.append(f"expected={self.expected!r}")
+        if self.cached is not None or self.expected is not None:
+            parts.append(f"cached={self.cached!r}")
+            parts.append(f"expected={self.expected!r}")
         if self.detail:
             parts.append(self.detail)
         return " ".join(parts)

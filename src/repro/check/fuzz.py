@@ -1,42 +1,59 @@
-"""The deterministic differential fuzzer (``repro-gepc fuzz``).
+"""The differential fuzzer (``repro-gepc fuzz``): one runner, three targets.
 
-For each seed: generate a small synthetic Meetup instance, solve it with
-the greedy GEPC solver, then replay a seeded random atomic-operation
-stream through the incremental IEP engine.  After *every* operation:
+For each seed the runner generates a small synthetic Meetup instance
+(:func:`fuzz_instance`), drives a seeded atomic-operation stream through
+one *system under test*, and cross-checks it against an oracle.  The
+seed loop, the report, the summary and the ``check.fuzz.*`` counters
+are shared; each target contributes only its checks:
 
-1. **Invariant audit** — every cached quantity (route costs, attendee
-   index, attendance, blocked counters, kernel rows, patched instance
-   caches) is recomputed from scratch and diffed against the live caches;
-2. **Differential vs. from-scratch rerun** — the incrementally maintained
-   instance+plan is rebuilt from raw data (``Instance.rebuilt()`` plus
-   re-adding every assignment to a fresh :class:`GlobalPlan`) and must
-   agree exactly on total utility and on the ``check_plan`` verdict — the
-   same cross-validation Re-Greedy/Re-GAP baselines provide at benchmark
-   scale, done exhaustively at fuzz scale;
-3. **Kernel vs. scalar** — the vectorized ``feasible_mask`` /
-   ``insertion_deltas`` rows are compared event-by-event against the
-   scalar ``can_attend`` / ``cost_with`` fallback on a cold cache;
-4. **Drift bounding** — per-user route-cost drift is measured against the
-   exact recompute and re-pinned via :meth:`GlobalPlan.repin_route_cost`
-   when it exceeds the re-pin tolerance.
+``engine`` (``repro-gepc fuzz``)
+    Greedy-solve, then apply the stream through the IEP engine.  After
+    *every* operation: a full invariant audit; incremental vs. a
+    from-scratch rebuild (``Instance.rebuilt()`` + a fresh
+    :class:`GlobalPlan`) on utility and the ``check_plan`` verdict;
+    vectorized kernel rows vs. the scalar cold-cache fallback; and
+    route-cost drift, re-pinned via :meth:`GlobalPlan.repin_route_cost`
+    past the re-pin tolerance.  The ``sharded`` variant (``--sharded``)
+    additionally checks the sharded solver and the batched platform
+    against their monolithic/serial counterparts on the final state.
+``durable`` (``--durable``)
+    Run an uncrashed :class:`DurablePlatform` twin recording its state
+    after every seq, then rerun the same submit loop killed by a
+    :class:`CrashInjector` at every crash point x {clean, torn WAL
+    tail}.  The recovered state must be auditor-clean, bit-identical to
+    the twin at the recovered seq, and drop a torn tail record.
+``service`` (``--service``)
+    Drive the stream through the real client/server loop (JSON wire
+    codec, HTTP and WebSocket alternating per op, the tenant worker,
+    the batched/durable stack) in lockstep with an in-process
+    :class:`EBSNPlatform` oracle: same accept/reject verdict and
+    bit-identical utility per frame, then equal plan summary and
+    applied log at the end.  Under ``REPRO_SHADOW_CHECKS=1`` the run is
+    instrumented by :mod:`repro.check.lockdep`.
 
-Everything is seeded: the same seed always replays the same instance and
-operation stream, so a CI failure reproduces locally with
-``repro-gepc fuzz --base-seed <seed> --seeds 1``.
+Everything is seeded: a failure prints the one-line command that
+replays exactly its seed, sizes and target.
 """
 
 from __future__ import annotations
 
+import random
+import shutil
+import tempfile
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator
 
-from repro.check.auditor import AuditReport, CacheMismatch, InvariantAuditor
+from repro.check.auditor import CacheMismatch, InvariantAuditor
+from repro.check.lockdep import LockDepSummary, LoopWatchdog, maybe_lockdep
 from repro.core.constraints import check_plan
 from repro.core.gepc.greedy import GreedySolver
 from repro.core.iep.engine import IEPEngine
+from repro.core.iep.operations import AtomicOperation
 from repro.core.metrics import total_utility
 from repro.core.model import Instance
-from repro.core.plan import GlobalPlan
+from repro.core.plan import GlobalPlan, PlanSummary
 from repro.core.tolerances import (
     AUDIT_FLOAT_TOL,
     BUDGET_TOL,
@@ -44,48 +61,64 @@ from repro.core.tolerances import (
 )
 from repro.datasets.meetup import MeetupConfig, generate_ebsn
 from repro.obs import get_recorder
+from repro.platform.durable import (
+    CRASH_POINTS,
+    REJECTION_ERRORS,
+    CrashInjector,
+    DurablePlatform,
+    InjectedCrash,
+    RecoveryError,
+    RecoveryReport,
+)
+from repro.platform.oplog import operation_to_dict
+from repro.platform.service import EBSNPlatform
 from repro.platform.stream import OperationStream
+from repro.service.client import ServiceClient, WebSocketClient
+from repro.service.server import ServiceThread
+
+# Instance shape shared by every target.
+CONFLICT_RATIO = 0.35
+N_GROUPS = 4
+# engine: a NewEvent every NEW_EVENT_EVERY steps gives the
+# with_new_event append path coverage (the mixed stream draws only
+# in-place operations); --sharded solves with SHARD_COUNT shards and
+# enqueues BATCH_SIZE operations per batched flush.
+NEW_EVENT_EVERY = 5
+SHARD_COUNT = 3
+BATCH_SIZE = 4
+# durable/service: small cadences so snapshots land mid-stream and
+# recovery exercises snapshot+replay, not just replay.  No fsync: the
+# "disk" is a temp dir that dies with the process; atomicity is still
+# exercised.
+DURABLE_SNAPSHOT_EVERY = 4
+SERVICE_SNAPSHOT_EVERY = 8
+DURABLE_FSYNC = False
 
 
 @dataclass(frozen=True)
 class FuzzConfig:
-    """Shape of one fuzzing run (identical across seeds)."""
+    """The sizes of one fuzzing run (identical across seeds and targets)."""
 
     operations: int = 12
     n_users: int = 24
     n_events: int = 10
-    conflict_ratio: float = 0.35
-    # A NewEvent is injected every ``new_event_every`` steps so the
-    # with_new_event append path gets coverage (the mixed stream draws
-    # only in-place operations).
-    new_event_every: int = 5
-    float_tol: float = AUDIT_FLOAT_TOL
-    drift_tolerance: float = ROUTE_DRIFT_REPIN_TOL
-    # Sharded mode (``repro-gepc fuzz --sharded``): additionally
-    # cross-check the sharded solver and the batched platform against
-    # their monolithic/serial counterparts on every seed.
-    sharded: bool = False
-    shard_count: int = 3
-    batch_size: int = 4
 
 
 @dataclass
-class SeedReport:
-    """Everything observed while fuzzing one seed."""
+class FuzzReport:
+    """One fuzzed seed (one crash scenario, for ``durable``).
+
+    ``stats`` holds the target's own numbers (:class:`EngineStats`,
+    :class:`CrashStats`, or ``None``).
+    """
 
     seed: int
+    label: str
     operations: int = 0
     checks: int = 0
     mismatches: list[CacheMismatch] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
-    max_drift: float = 0.0
-    repins: int = 0
-    total_dif: int = 0
-    final_utility: float = 0.0
-    # Sharded-vs-monolithic utility ratio (1.0 outside sharded mode).
-    # Recorded for trend inspection; correctness is gated by the
-    # feasibility/determinism checks, not by this number.
-    sharded_utility_ratio: float = 1.0
+    stats: Any = None
 
     @property
     def ok(self) -> bool:
@@ -94,17 +127,23 @@ class SeedReport:
 
 @dataclass
 class FuzzSummary:
-    """Aggregate over all fuzzed seeds."""
+    """Aggregate over every report of one :func:`run_fuzz` call."""
 
-    reports: list[SeedReport] = field(default_factory=list)
+    target: str = "engine"
+    reports: list[FuzzReport] = field(default_factory=list)
+    #: Populated when the service run was instrumented
+    #: (``REPRO_SHADOW_CHECKS=1``).
+    lockdep: LockDepSummary | None = None
 
     @property
     def ok(self) -> bool:
+        if self.lockdep is not None and not self.lockdep.ok:
+            return False
         return all(report.ok for report in self.reports)
 
     @property
     def seeds(self) -> int:
-        return len(self.reports)
+        return len({report.seed for report in self.reports})
 
     @property
     def operations(self) -> int:
@@ -122,18 +161,118 @@ class FuzzSummary:
     def violations(self) -> list[str]:
         return [v for report in self.reports for v in report.violations]
 
-    @property
-    def max_drift(self) -> float:
+    def failures(self) -> list[FuzzReport]:
+        return [report for report in self.reports if not report.ok]
+
+    def total(self, stat: str) -> float:
+        return sum(getattr(report.stats, stat) for report in self.reports)
+
+    def peak(self, stat: str) -> float:
         return max(
-            (report.max_drift for report in self.reports), default=0.0
+            (getattr(report.stats, stat) for report in self.reports),
+            default=0.0,
         )
 
-    @property
-    def repins(self) -> int:
-        return sum(report.repins for report in self.reports)
+    def columns(self) -> list[tuple[str, object]]:
+        """``(header, value)`` pairs of the one-row result table."""
+        return [
+            ("seeds", self.seeds),
+            ("operations", self.operations),
+            ("checks", self.checks),
+            ("mismatches", len(self.mismatches)),
+            ("violations", len(self.violations)),
+        ] + [
+            (header, stat(self))
+            for header, stat in TARGETS[self.target].columns
+        ]
 
-    def failures(self) -> list[SeedReport]:
-        return [report for report in self.reports if not report.ok]
+
+#: ``(seed, config, session env) -> reports`` for one target.
+SeedRun = Callable[[int, FuzzConfig, Any], list[FuzzReport]]
+Column = tuple[str, Callable[[FuzzSummary], float]]
+
+
+def _no_session(summary: FuzzSummary) -> AbstractContextManager[Any]:
+    return nullcontext()
+
+
+@dataclass(frozen=True)
+class Target:
+    """One system under test: its seed run and its extra table columns.
+
+    ``session(summary)`` is entered once around the whole seed loop and
+    yields the environment every seed run receives.
+    """
+
+    title: str
+    fuzz_seed: SeedRun
+    columns: tuple[Column, ...] = ()
+    session: Callable[[FuzzSummary], AbstractContextManager[Any]] = (
+        _no_session
+    )
+
+
+def fuzz_instance(seed: int, config: FuzzConfig) -> Instance:
+    """The spec-deterministic Meetup instance every target fuzzes."""
+    return generate_ebsn(
+        MeetupConfig(
+            n_users=config.n_users,
+            n_events=config.n_events,
+            n_groups=N_GROUPS,
+            conflict_ratio=CONFLICT_RATIO,
+            seed=seed,
+        )
+    )
+
+
+def run_fuzz(
+    seeds: Iterable[int],
+    config: FuzzConfig | None = None,
+    target: str = "engine",
+) -> FuzzSummary:
+    """Fuzz every seed against ``target`` (a :data:`TARGETS` key).
+
+    Emits ``check.fuzz.*`` counters per seed and one gauge per target
+    column at the end.
+    """
+    obs = get_recorder()
+    config = config or FuzzConfig()
+    sut = TARGETS[target]
+    summary = FuzzSummary(target=target)
+    with obs.span("check.fuzz"), sut.session(summary) as env:
+        for seed in seeds:
+            with obs.span("seed"):
+                reports = sut.fuzz_seed(seed, config, env)
+            summary.reports.extend(reports)
+            obs.count("check.fuzz.seeds")
+            for name, value in (
+                ("scenarios", len(reports)),
+                ("operations", sum(r.operations for r in reports)),
+                ("checks", sum(r.checks for r in reports)),
+                ("mismatches", sum(len(r.mismatches) for r in reports)),
+                ("violations", sum(len(r.violations) for r in reports)),
+            ):
+                obs.count(f"check.fuzz.{name}", value)
+    for header, stat in sut.columns:
+        obs.gauge("check.fuzz." + header.replace(" ", "_"), stat(summary))
+    return summary
+
+
+# --------------------------------------------------------------------- #
+# engine: incremental IEP engine vs. from-scratch rebuilds
+# --------------------------------------------------------------------- #
+
+
+@dataclass
+class EngineStats:
+    max_drift: float = 0.0
+    repins: int = 0
+    total_dif: int = 0
+    final_utility: float = 0.0
+    # Sharded-vs-monolithic utility ratio (1.0 outside --sharded).
+    # Recorded for trend inspection; correctness is gated by the
+    # feasibility/determinism checks, not by this number.
+    sharded_utility_ratio: float = 1.0
 
 
 def _rebuild_state(
@@ -152,7 +291,7 @@ def _check_differential(
     instance: Instance,
     plan: GlobalPlan,
     step: int,
-    report: SeedReport,
+    report: FuzzReport,
 ) -> None:
     """Incremental state vs. a from-scratch rebuild of the same state."""
     fresh_instance, fresh_plan = _rebuild_state(instance, plan)
@@ -189,8 +328,7 @@ def _check_kernel_vs_scalar(
     instance: Instance,
     plan: GlobalPlan,
     step: int,
-    config: FuzzConfig,
-    report: SeedReport,
+    report: FuzzReport,
 ) -> None:
     """Vectorized kernel rows vs. the scalar cold-cache fallback."""
     budget_of = [user.budget for user in instance.users]
@@ -207,7 +345,7 @@ def _check_kernel_vs_scalar(
             report.checks += 1
             scalar_cost = cold.cost_with(user, event)
             vector_cost = base + float(deltas[event])
-            if abs(scalar_cost - vector_cost) > config.float_tol:
+            if abs(scalar_cost - vector_cost) > AUDIT_FLOAT_TOL:
                 report.mismatches.append(
                     CacheMismatch(
                         kind="kernel_vs_scalar_cost",
@@ -226,7 +364,7 @@ def _check_kernel_vs_scalar(
                 # Tolerate pure boundary jitter: both sides sit within the
                 # audit tolerance of the budget cut-off.
                 margin = scalar_cost - budget_of[user]
-                if abs(margin - BUDGET_TOL) <= config.float_tol:
+                if abs(margin - BUDGET_TOL) <= AUDIT_FLOAT_TOL:
                     continue
                 report.mismatches.append(
                     CacheMismatch(
@@ -241,28 +379,27 @@ def _check_kernel_vs_scalar(
 
 
 def _measure_drift(
-    plan: GlobalPlan, config: FuzzConfig, report: SeedReport
+    plan: GlobalPlan, report: FuzzReport, stats: EngineStats
 ) -> None:
     """Measure route-cost drift per user; re-pin when it exceeds the
     tolerance (the production response to accumulated float error)."""
     for user in range(plan.instance.n_users):
-        drift = abs(plan.repin_route_cost(user, config.drift_tolerance))
+        drift = abs(plan.repin_route_cost(user, ROUTE_DRIFT_REPIN_TOL))
         report.checks += 1
-        report.max_drift = max(report.max_drift, drift)
-        if drift > config.drift_tolerance:
-            report.repins += 1
+        stats.max_drift = max(stats.max_drift, drift)
+        if drift > ROUTE_DRIFT_REPIN_TOL:
+            stats.repins += 1
 
 
 def _check_sharded_solve(
     instance: Instance,
     seed: int,
-    config: FuzzConfig,
     auditor: InvariantAuditor,
-    report: SeedReport,
+    report: FuzzReport,
+    stats: EngineStats,
 ) -> None:
     """Sharded solve vs. monolithic greedy: k=1 bit-equivalence, k>1
     feasibility + invariant audit + double-solve determinism."""
-    from repro.core.plan import PlanSummary
     from repro.scale import ShardedSolver
 
     mono = GreedySolver(seed=seed).solve(instance)
@@ -278,7 +415,7 @@ def _check_sharded_solve(
             )
         )
 
-    sharded = ShardedSolver(shards=config.shard_count, seed=seed)
+    sharded = ShardedSolver(shards=SHARD_COUNT, seed=seed)
     first = sharded.solve(instance)
     second = sharded.solve(instance)
     report.checks += 1
@@ -288,7 +425,7 @@ def _check_sharded_solve(
                 kind="sharded_determinism",
                 cached=PlanSummary.of(second.plan),
                 expected=PlanSummary.of(first.plan),
-                detail=f"double solve (k={config.shard_count}) diverged",
+                detail=f"double solve (k={SHARD_COUNT}) diverged",
             )
         )
     for violation in check_plan(instance, first.plan):
@@ -298,7 +435,7 @@ def _check_sharded_solve(
     report.mismatches.extend(audit.mismatches)
     mono_utility = total_utility(instance, mono.plan)
     if mono_utility > 0.0:
-        report.sharded_utility_ratio = (
+        stats.sharded_utility_ratio = (
             total_utility(instance, first.plan) / mono_utility
         )
 
@@ -308,20 +445,18 @@ def _check_batched_stream(
     seed: int,
     config: FuzzConfig,
     auditor: InvariantAuditor,
-    report: SeedReport,
+    report: FuzzReport,
 ) -> None:
     """Batched-coalesced application vs. serial replay of its own log."""
-    from repro.core.plan import PlanSummary
-    from repro.platform.service import EBSNPlatform
     from repro.scale import BatchedPlatform
 
     batched = BatchedPlatform(instance)
     batched.publish_plans()
     stream = OperationStream(seed=seed + 101)
-    batches = max(2, config.operations // max(1, config.batch_size))
+    batches = max(2, config.operations // BATCH_SIZE)
     for _ in range(batches):
         for operation in stream.mixed(
-            batched.instance, batched.plan, config.batch_size
+            batched.instance, batched.plan, BATCH_SIZE
         ):
             batched.enqueue(operation)
         result = batched.flush()
@@ -346,7 +481,7 @@ def _check_batched_stream(
         )
     serial_utility = serial.audit()["utility"]
     batched_utility = batched.snapshot()["utility"]
-    if abs(serial_utility - batched_utility) > config.float_tol:
+    if abs(serial_utility - batched_utility) > AUDIT_FLOAT_TOL:
         report.mismatches.append(
             CacheMismatch(
                 kind="batched_replay_utility",
@@ -360,38 +495,32 @@ def _check_batched_stream(
     report.mismatches.extend(audit.mismatches)
 
 
-def fuzz_seed(seed: int, config: FuzzConfig | None = None) -> SeedReport:
-    """Fuzz one seed: solve, replay the operation stream, cross-check."""
-    config = config or FuzzConfig()
-    report = SeedReport(seed=seed)
-    instance = generate_ebsn(
-        MeetupConfig(
-            n_users=config.n_users,
-            n_events=config.n_events,
-            n_groups=4,
-            conflict_ratio=config.conflict_ratio,
-            seed=seed,
-        )
-    )
+def _engine_seed(
+    seed: int, config: FuzzConfig, sharded: bool = False
+) -> list[FuzzReport]:
+    """Solve, replay the operation stream, cross-check every step."""
+    stats = EngineStats()
+    report = FuzzReport(seed=seed, label=f"seed {seed}", stats=stats)
+    instance = fuzz_instance(seed, config)
     plan = GreedySolver(seed=seed).solve(instance).plan
     engine = IEPEngine()
     stream = OperationStream(seed=seed)
-    auditor = InvariantAuditor(float_tol=config.float_tol)
+    auditor = InvariantAuditor(float_tol=AUDIT_FLOAT_TOL)
 
     # The solved starting state must itself audit clean.
-    initial: AuditReport = auditor.audit(plan)
+    initial = auditor.audit(plan)
     report.checks += initial.checks
     report.mismatches.extend(initial.mismatches)
 
     for step in range(config.operations):
-        if config.new_event_every and step % config.new_event_every == 2:
+        if step % NEW_EVENT_EVERY == 2:
             operation = stream.new_event(instance)
         else:
             operation = next(iter(stream.mixed(instance, plan, 1)))
         result = engine.apply(instance, plan, operation)
         instance, plan = result.instance, result.plan
         report.operations += 1
-        report.total_dif += result.dif
+        stats.total_dif += result.dif
 
         audit = auditor.audit(plan)
         report.checks += audit.checks
@@ -401,8 +530,8 @@ def fuzz_seed(seed: int, config: FuzzConfig | None = None) -> SeedReport:
                 f"step {step} ({type(operation).__name__}): {violation}"
             )
         _check_differential(instance, plan, step, report)
-        _measure_drift(plan, config, report)
-        _check_kernel_vs_scalar(instance, plan, step, config, report)
+        _measure_drift(plan, report, stats)
+        _check_kernel_vs_scalar(instance, plan, step, report)
 
     # Strategy and shared-plane equivalence run once per seed on the
     # final state — after the operation stream has bent the instance
@@ -415,43 +544,413 @@ def fuzz_seed(seed: int, config: FuzzConfig | None = None) -> SeedReport:
     report.checks += shm_audit.checks
     report.mismatches.extend(shm_audit.mismatches)
 
-    if config.sharded:
+    if sharded:
         # The stream mutated `instance` past the generated one; the
         # sharded cross-checks run on the *final* instance so they see
         # NewEvent-extended, bound-shifted state too.
-        _check_sharded_solve(instance, seed, config, auditor, report)
+        _check_sharded_solve(instance, seed, auditor, report, stats)
         _check_batched_stream(instance, seed, config, auditor, report)
 
-    report.final_utility = total_utility(instance, plan)
+    stats.final_utility = total_utility(instance, plan)
+    return [report]
+
+
+# --------------------------------------------------------------------- #
+# durable: crash at every injection point, recover, diff vs. the twin
+# --------------------------------------------------------------------- #
+
+
+@dataclass
+class CrashStats:
+    point: str
+    tear_tail: bool
+    crash_after: int
+    recovered_seq: int = 0
+    snapshot_seq: int = 0
+    replayed: int = 0
+    truncated_records: int = 0
+
+
+@dataclass(frozen=True)
+class TwinState:
+    """Uncrashed state after one sequence number."""
+
+    utility: float
+    summary: PlanSummary
+
+
+def run_twin(
+    platform: DurablePlatform,
+    operations: list[AtomicOperation] | None = None,
+    stream_seed: int = 0,
+    n_operations: int = 0,
+) -> tuple[dict[int, TwinState], list[AtomicOperation]]:
+    """Run the twin: publish, apply, record state per seq.
+
+    Publishes ``platform`` (which must be fresh/unpublished), applies
+    ``operations`` in order — or draws ``n_operations`` from a seeded
+    :class:`OperationStream` when ``operations`` is ``None`` — and
+    records the state (utility + :class:`PlanSummary`) after publish and
+    after *every* submit.  Rejected operations consume a sequence number
+    without changing state, so every possible recovery horizon has a
+    twin state to compare against.  Closes the platform and returns
+    ``(states_by_seq, operations)``.
+
+    A platform armed with a :class:`CrashInjector` makes this the
+    crashed run of the same submit loop: :class:`InjectedCrash`
+    propagates and the platform is left unclosed, as after a kill.
+
+    Shared by the durable fuzz target and the service recovery tests:
+    any component claiming "bit-identical at the durable horizon"
+    proves it against these states.
+    """
+    states: dict[int, TwinState] = {}
+
+    def record() -> None:
+        states[platform.seq] = TwinState(
+            utility=platform.audit()["utility"],
+            summary=PlanSummary.of(platform.plan),
+        )
+
+    platform.publish_plans()
+    record()
+    if operations is None:
+        operations = list(
+            OperationStream(seed=stream_seed).mixed(
+                platform.instance, platform.plan, n_operations
+            )
+        )
+    for operation in operations:
+        try:
+            platform.submit(operation)
+        except REJECTION_ERRORS:
+            pass
+        record()
+    platform.close()
+    return states, operations
+
+
+class _PointCounter:
+    """Injector stand-in that only counts crash-point occurrences."""
+
+    def __init__(self) -> None:
+        self.counts: dict[str, int] = {}
+
+    def fire(self, point: str, wal: object) -> None:
+        self.counts[point] = self.counts.get(point, 0) + 1
+
+
+def _durable(
+    seed: int,
+    config: FuzzConfig,
+    directory: Path,
+    injector: CrashInjector | _PointCounter,
+) -> DurablePlatform:
+    return DurablePlatform(
+        fuzz_instance(seed, config),
+        directory,
+        solver=GreedySolver(seed=seed),
+        snapshot_every=DURABLE_SNAPSHOT_EVERY,
+        fsync=DURABLE_FSYNC,
+        injector=injector,  # type: ignore[arg-type]
+    )
+
+
+def _durable_seed(seed: int, config: FuzzConfig, _env: None) -> list[FuzzReport]:
+    """All crash scenarios for one seed (every point, with/without tear)."""
+    reports: list[FuzzReport] = []
+    root = Path(tempfile.mkdtemp(prefix=f"crashfuzz-{seed}-"))
+    try:
+        counter = _PointCounter()
+        twin, operations = run_twin(
+            _durable(seed, config, root / "twin", counter),
+            stream_seed=seed,
+            n_operations=config.operations,
+        )
+        rng = random.Random(seed)
+        for point in CRASH_POINTS:
+            for tear_tail in (False, True):
+                occurrences = counter.counts.get(point, 0)
+                if occurrences == 0:
+                    continue
+                stats = CrashStats(
+                    point, tear_tail, crash_after=rng.randint(1, occurrences)
+                )
+                reports.append(
+                    _crash_scenario(
+                        seed,
+                        config,
+                        root / f"{point}-{tear_tail}",
+                        operations,
+                        twin,
+                        stats,
+                    )
+                )
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    return reports
+
+
+def _crash_scenario(
+    seed: int,
+    config: FuzzConfig,
+    directory: Path,
+    operations: list[AtomicOperation],
+    twin: dict[int, TwinState],
+    stats: CrashStats,
+) -> FuzzReport:
+    tear = "+tear" if stats.tear_tail else ""
+    label = f"seed {seed} {stats.point}{tear}@{stats.crash_after}"
+    report = FuzzReport(seed=seed, label=label, stats=stats)
+    injector = CrashInjector(
+        crash_after=stats.crash_after,
+        point=stats.point,
+        tear_tail=stats.tear_tail,
+    )
+    try:
+        run_twin(_durable(seed, config, directory, injector), operations)
+    except InjectedCrash:
+        pass
+    else:
+        report.violations.append(
+            f"{label}: injector never fired (run completed)"
+        )
+        return report
+    try:
+        recovered, recovery = DurablePlatform.recover(
+            directory,
+            solver=GreedySolver(seed=seed),
+            snapshot_every=DURABLE_SNAPSHOT_EVERY,
+            fsync=DURABLE_FSYNC,
+        )
+    except RecoveryError as exc:
+        if exc.report is not None:
+            report.mismatches.extend(
+                _recovery_mismatches(label, exc.report)
+            )
+            report.violations.extend(exc.report.violations)
+        report.violations.append(f"{label}: {exc}")
+        return report
+    recovered.close()
+    stats.recovered_seq = recovery.last_seq
+    stats.snapshot_seq = recovery.snapshot_seq
+    stats.replayed = recovery.replayed
+    stats.truncated_records = recovery.truncated_records
+    report.operations = recovery.last_seq
+    report.checks += recovery.audit_checks
+    report.mismatches.extend(_recovery_mismatches(label, recovery))
+    report.violations.extend(recovery.violations)
+
+    state = twin.get(recovery.last_seq)
+    if state is None:
+        report.mismatches.append(CacheMismatch(
+            "crash_horizon", recovery.last_seq, max(twin),
+            detail=f"{label}: recovered past the uncrashed twin's last seq",
+        ))
+        return report
+    report.checks += 2
+    if recovery.utility != state.utility:
+        report.mismatches.append(CacheMismatch(
+            "crash_twin_utility", recovery.utility, state.utility,
+            detail=f"{label}: at seq {recovery.last_seq}",
+        ))
+    if PlanSummary.of(recovered.plan) != state.summary:
+        report.mismatches.append(CacheMismatch(
+            "crash_twin_plan", None, None,
+            detail=f"{label}: plan differs at seq {recovery.last_seq}",
+        ))
+    if stats.tear_tail and stats.point != "snapshot":
+        # A torn tail must be detected (the snapshot point can land after
+        # the WAL record was already superseded by a snapshot, but for
+        # wal-append/apply the torn record is always the newest).
+        report.checks += 1
+        if stats.truncated_records == 0:
+            report.violations.append(
+                f"{label}: tail was torn but nothing was truncated"
+            )
     return report
 
 
-def run_fuzz(
-    seeds: Iterable[int], config: FuzzConfig | None = None
-) -> FuzzSummary:
-    """Fuzz every seed and aggregate; emits ``repro.obs`` counters."""
-    obs = get_recorder()
-    config = config or FuzzConfig()
-    summary = FuzzSummary()
-    with obs.span("check.fuzz"):
-        for seed in seeds:
-            with obs.span("seed"):
-                report = fuzz_seed(seed, config)
-            summary.reports.append(report)
-            obs.count("check.fuzz.seeds")
-            obs.count("check.fuzz.operations", report.operations)
-            obs.count("check.fuzz.checks", report.checks)
-            obs.count("check.fuzz.mismatches", len(report.mismatches))
-            obs.count("check.fuzz.violations", len(report.violations))
-            obs.count("check.fuzz.repins", report.repins)
-    obs.gauge("check.fuzz.max_drift", summary.max_drift)
-    return summary
+def _recovery_mismatches(
+    label: str, recovery: RecoveryReport
+) -> list[CacheMismatch]:
+    return [
+        CacheMismatch("recovery_audit", None, None, detail=f"{label}: {text}")
+        for text in recovery.mismatches
+    ]
+
+
+# --------------------------------------------------------------------- #
+# service: the real client/server loop vs. an in-process oracle
+# --------------------------------------------------------------------- #
+
+
+@contextmanager
+def _service_session(summary: FuzzSummary) -> Iterator[ServiceThread]:
+    """One in-process service shared by every seed.
+
+    Under ``REPRO_SHADOW_CHECKS=1`` lockdep is installed before the
+    service starts, so the manager/tenant/platform locks are all
+    created through the instrumented factories, and a watchdog thread
+    heartbeats the service event loop to catch blocking work that
+    escaped the RL009 executor discipline.
+    """
+    with maybe_lockdep() as dep:
+        with (
+            tempfile.TemporaryDirectory(prefix="servicefuzz-") as root,
+            ServiceThread(root) as service,
+        ):
+            watchdog = None
+            if dep is not None and service.loop is not None:
+                watchdog = LoopWatchdog(service.loop, sink=dep.stalls).start()
+            try:
+                yield service
+            finally:
+                if watchdog is not None:
+                    watchdog.stop()
+    if dep is not None:
+        summary.lockdep = dep.summarize()
+
+
+def _service_seed(
+    seed: int, config: FuzzConfig, service: ServiceThread
+) -> list[FuzzReport]:
+    """Frames carry one operation each, so the wire order *is* the
+    serial order and the oracle needs no coalescing model."""
+    report = FuzzReport(seed=seed, label=f"seed {seed}")
+    tenant = f"fuzz-{seed}"
+    oracle = EBSNPlatform(
+        fuzz_instance(seed, config), solver=GreedySolver(seed=seed)
+    )
+
+    with (
+        ServiceClient(service.host, service.port) as http_client,
+        WebSocketClient(service.host, service.port) as ws_client,
+    ):
+        http_client.create_tenant(
+            {
+                "name": tenant,
+                "kind": "meetup",
+                "users": config.n_users,
+                "events": config.n_events,
+                "groups": N_GROUPS,
+                "conflict": CONFLICT_RATIO,
+                "seed": seed,
+                "snapshot_every": SERVICE_SNAPSHOT_EVERY,
+            }
+        )
+        served_utility = http_client.publish(tenant)
+        oracle_utility = oracle.publish_plans()
+        report.checks += 1
+        if served_utility != oracle_utility:
+            report.mismatches.append(CacheMismatch(
+                "service_publish_utility", served_utility, oracle_utility,
+                detail=f"seed {seed}",
+            ))
+
+        stream = OperationStream(seed=seed)
+        accepted: list[AtomicOperation] = []
+        for step in range(config.operations):
+            operation = next(
+                iter(stream.mixed(oracle.instance, oracle.plan, 1))
+            )
+            client = ws_client if step % 2 else http_client
+            result = client.submit(tenant, [operation])
+            report.operations += 1
+
+            oracle_applied = True
+            try:
+                entry = oracle.submit(operation)
+            except REJECTION_ERRORS:
+                oracle_applied = False
+            report.checks += 2
+            where = f"seed {seed} step {step} ({type(operation).__name__})"
+            if result["applied"] != int(oracle_applied):
+                report.mismatches.append(CacheMismatch(
+                    "service_acceptance", result["applied"],
+                    int(oracle_applied), detail=where,
+                ))
+                continue
+            if oracle_applied:
+                accepted.append(operation)
+                expected = entry.utility_after
+            else:
+                expected = oracle.audit()["utility"]
+            if result["utility"] != expected:
+                report.mismatches.append(CacheMismatch(
+                    "service_utility", result["utility"], expected,
+                    detail=where,
+                ))
+            if result["violations"]:
+                report.violations.append(
+                    f"{where}: service reported "
+                    f"{result['violations']} feasibility violations"
+                )
+
+        report.checks += 2
+        assignments = http_client.plan_summary(tenant)
+        if (
+            tuple(tuple(events) for events in assignments)
+            != PlanSummary.of(oracle.plan).assignments
+        ):
+            report.mismatches.append(CacheMismatch(
+                "service_plan_summary", None, None,
+                detail=f"seed {seed}: final plan differs from the oracle's",
+            ))
+        served_log = ws_client.rpc("oplog", tenant=tenant)["ops"]
+        expected_log = [operation_to_dict(op) for op in accepted]
+        if served_log != expected_log:
+            report.mismatches.append(CacheMismatch(
+                "service_oplog", len(served_log), len(expected_log),
+                detail=f"seed {seed}: applied log differs from the "
+                "oracle's accepted stream",
+            ))
+    return [report]
+
+
+_ENGINE_COLUMNS: tuple[Column, ...] = (
+    ("max drift", lambda s: s.peak("max_drift")),
+    ("repins", lambda s: s.total("repins")),
+)
+
+#: Every system under test, keyed by the ``repro-gepc fuzz`` flag that
+#: selects it (``engine`` is the default).
+TARGETS: dict[str, Target] = {
+    "engine": Target(
+        "Differential fuzz",
+        lambda seed, config, _env: _engine_seed(seed, config),
+        columns=_ENGINE_COLUMNS,
+    ),
+    "sharded": Target(
+        "Sharded differential fuzz",
+        lambda seed, config, _env: _engine_seed(seed, config, sharded=True),
+        columns=_ENGINE_COLUMNS,
+    ),
+    "durable": Target(
+        "Crash-recovery fuzz",
+        _durable_seed,
+        columns=(
+            ("scenarios", lambda s: len(s.reports)),
+            ("replayed", lambda s: s.total("replayed")),
+            ("torn records", lambda s: s.total("truncated_records")),
+        ),
+    ),
+    "service": Target(
+        "Service fuzz", _service_seed, session=_service_session
+    ),
+}
 
 
 __all__ = [
+    "TARGETS",
+    "CrashStats",
+    "EngineStats",
     "FuzzConfig",
+    "FuzzReport",
     "FuzzSummary",
-    "SeedReport",
-    "fuzz_seed",
+    "Target",
+    "TwinState",
+    "fuzz_instance",
     "run_fuzz",
+    "run_twin",
 ]

@@ -34,13 +34,7 @@ import sys
 
 from repro.bench.harness import measure
 from repro.bench.tables import format_table
-from repro.check import (
-    CrashFuzzConfig,
-    FuzzConfig,
-    maybe_shadow_checks,
-    run_crash_fuzz,
-    run_fuzz,
-)
+from repro.check import TARGETS, FuzzConfig, maybe_shadow_checks, run_fuzz
 from repro.core.constraints import check_plan
 from repro.core.gepc import GAPBasedSolver, GreedySolver
 from repro.core.model import InstanceStats
@@ -278,114 +272,36 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0 if not violations else 1
 
 
+def fuzz_run_of(args: argparse.Namespace) -> tuple[FuzzConfig, str]:
+    """The fuzz config and target ``args`` select: each ``TARGETS`` key
+    but ``engine`` (the default) is a flag."""
+    target = next(
+        (name for name in TARGETS if name != "engine" and getattr(args, name)),
+        "engine",
+    )
+    return FuzzConfig(args.operations, args.users, args.events), target
+
+
+def fuzz_command(seed: int, config: FuzzConfig, target: str) -> str:
+    """The ``repro-gepc fuzz`` line that replays one seed of a run."""
+    flag = "" if target == "engine" else f" --{target}"
+    return (
+        f"repro-gepc fuzz --base-seed {seed} --seeds 1 "
+        f"--operations {config.operations} --users {config.n_users} "
+        f"--events {config.n_events}{flag}"
+    )
+
+
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.durable:
-        return _fuzz_durable(args)
-    if args.service:
-        return _fuzz_service(args)
-    config = FuzzConfig(
-        operations=args.operations,
-        n_users=args.users,
-        n_events=args.events,
-        sharded=args.sharded,
-    )
+    config, target = fuzz_run_of(args)
     seeds = range(args.base_seed, args.base_seed + args.seeds)
-    summary = run_fuzz(seeds, config)
+    summary = run_fuzz(seeds, config, target)
+    columns = summary.columns()
     print(
         format_table(
-            f"Differential fuzz: seeds {seeds.start}..{seeds.stop - 1}",
-            [
-                "seeds", "operations", "checks", "mismatches",
-                "violations", "max drift", "repins",
-            ],
-            [[
-                summary.seeds,
-                summary.operations,
-                summary.checks,
-                len(summary.mismatches),
-                len(summary.violations),
-                summary.max_drift,
-                summary.repins,
-            ]],
-        )
-    )
-    for report in summary.failures():
-        print(f"seed {report.seed} FAILED:", file=sys.stderr)
-        for mismatch in report.mismatches[:10]:
-            print(f"  {mismatch}", file=sys.stderr)
-        for violation in report.violations[:10]:
-            print(f"  {violation}", file=sys.stderr)
-        print(
-            f"  reproduce: repro-gepc fuzz --base-seed {report.seed} "
-            f"--seeds 1 --operations {report.operations}",
-            file=sys.stderr,
-        )
-    return 0 if summary.ok else 1
-
-
-def _fuzz_durable(args: argparse.Namespace) -> int:
-    """Crash-recovery fuzz: kill at every injection point, recover, diff."""
-    config = CrashFuzzConfig(
-        operations=args.operations,
-        n_users=args.users,
-        n_events=args.events,
-    )
-    seeds = range(args.base_seed, args.base_seed + args.seeds)
-    summary = run_crash_fuzz(seeds, config)
-    print(
-        format_table(
-            f"Crash-recovery fuzz: seeds {seeds.start}..{seeds.stop - 1}",
-            [
-                "seeds", "scenarios", "replayed", "torn records",
-                "mismatches", "violations",
-            ],
-            [[
-                summary.seeds,
-                summary.scenarios,
-                summary.replayed,
-                summary.truncated_records,
-                len(summary.mismatches),
-                len(summary.violations),
-            ]],
-        )
-    )
-    for report in summary.failures():
-        print(f"{report.label()} FAILED:", file=sys.stderr)
-        for mismatch in report.mismatches[:10]:
-            print(f"  {mismatch}", file=sys.stderr)
-        for violation in report.violations[:10]:
-            print(f"  {violation}", file=sys.stderr)
-        print(
-            f"  reproduce: repro-gepc fuzz --durable "
-            f"--base-seed {report.seed} --seeds 1 "
-            f"--operations {config.operations}",
-            file=sys.stderr,
-        )
-    return 0 if summary.ok else 1
-
-
-def _fuzz_service(args: argparse.Namespace) -> int:
-    """Service-loop fuzz: real client/server loop vs in-process oracle."""
-    from repro.check import ServiceFuzzConfig, run_service_fuzz
-
-    config = ServiceFuzzConfig(
-        operations=args.operations,
-        n_users=args.users,
-        n_events=args.events,
-    )
-    seeds = range(args.base_seed, args.base_seed + args.seeds)
-    summary = run_service_fuzz(seeds, config)
-    print(
-        format_table(
-            f"Service fuzz: seeds {seeds.start}..{seeds.stop - 1}",
-            ["seeds", "operations", "checks", "mismatches", "violations"],
-            [[
-                summary.seeds,
-                summary.operations,
-                summary.checks,
-                len(summary.mismatches),
-                len(summary.violations),
-            ]],
+            f"{TARGETS[target].title}: seeds {seeds.start}..{seeds.stop - 1}",
+            [header for header, _ in columns],
+            [[value for _, value in columns]],
         )
     )
     if summary.lockdep is not None:
@@ -403,15 +319,11 @@ def _fuzz_service(args: argparse.Namespace) -> int:
         for stall in dep.stalls[:5]:
             print(f"  advisory: {stall}", file=sys.stderr)
     for report in summary.failures():
-        print(f"seed {report.seed} FAILED:", file=sys.stderr)
-        for mismatch in report.mismatches[:10]:
-            print(f"  {mismatch}", file=sys.stderr)
-        for violation in report.violations[:10]:
-            print(f"  {violation}", file=sys.stderr)
+        print(f"{report.label} FAILED:", file=sys.stderr)
+        for problem in [*report.mismatches[:10], *report.violations[:10]]:
+            print(f"  {problem}", file=sys.stderr)
         print(
-            f"  reproduce: repro-gepc fuzz --service "
-            f"--base-seed {report.seed} --seeds 1 "
-            f"--operations {report.operations}",
+            f"  reproduce: {fuzz_command(report.seed, config, target)}",
             file=sys.stderr,
         )
     return 0 if summary.ok else 1
@@ -586,18 +498,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--events", type=int, default=10,
         help="events per fuzz instance (default 10)",
     )
-    fuzz.add_argument(
+    # One system under test per run; without a flag, the engine.
+    targets = fuzz.add_mutually_exclusive_group()
+    targets.add_argument(
         "--sharded", action="store_true",
         help="additionally cross-check the sharded solver and batched "
         "platform against their monolithic/serial counterparts",
     )
-    fuzz.add_argument(
+    targets.add_argument(
         "--durable", action="store_true",
         help="crash-recovery fuzz: kill a DurablePlatform at every "
         "injection point (with and without torn WAL tails), recover, "
         "and diff against an uncrashed twin (see docs/durability.md)",
     )
-    fuzz.add_argument(
+    targets.add_argument(
         "--service", action="store_true",
         help="service-loop fuzz: drive the operation streams through "
         "the real planning-service client/server loop (HTTP + "

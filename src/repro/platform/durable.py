@@ -345,7 +345,7 @@ class DurablePlatform:
         durable sequence number and snapshots resume on cadence.
         """
         # Imported here, not at module top: repro.check's package init
-        # pulls in the crash fuzzer, which imports this module back.
+        # pulls in the fuzzer, which imports this module back.
         from repro.check.auditor import InvariantAuditor
 
         directory = Path(directory)

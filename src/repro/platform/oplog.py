@@ -229,6 +229,10 @@ class WalRecovery:
         ]
 
 
+class WalFailedError(RuntimeError):
+    """A write to a :class:`WriteAheadLog` that already failed once."""
+
+
 class WriteAheadLog:
     """An fsync'd append-only JSONL operation log with CRC'd records.
 
@@ -247,6 +251,10 @@ class WriteAheadLog:
       parse, CRC, monotonically increasing op sequence), truncates the
       first invalid record and everything after it (the torn tail of a
       crashed write), and returns the valid prefix.
+    * The first exception from a write or sync poisons the log: every
+      later :meth:`append`/:meth:`mark_rejected` raises
+      :class:`WalFailedError` without writing, so no sequence number is
+      ever reused.  Only a new log recovered from disk writes again.
     """
 
     def __init__(self, path: str | Path, durable: bool = True) -> None:
@@ -255,6 +263,7 @@ class WriteAheadLog:
         self._durable = durable
         self._handle = None  # opened lazily on first append
         self._seq = 0
+        self._failure: BaseException | None = None
 
     @property
     def path(self) -> Path:
@@ -273,16 +282,31 @@ class WriteAheadLog:
         return self._handle
 
     def _write_record(self, record: dict) -> None:
+        if self._failure is not None:
+            raise WalFailedError(
+                f"{self._path}: write-ahead log failed earlier "
+                f"({self._failure!r}); recover it from disk"
+            ) from self._failure
         record["crc"] = document_crc(record)
-        handle = self._open()
-        handle.write((canonical_json(record) + "\n").encode("utf-8"))
-        handle.flush()
-        if self._durable:
-            # fdatasync flushes the data and the metadata needed to read
-            # it back (the new file size) but skips timestamp updates —
-            # all an append-only log needs, at lower cost than fsync.
-            getattr(os, "fdatasync", os.fsync)(handle.fileno())
-            get_recorder().count("durable.fsyncs")
+        line = (canonical_json(record) + "\n").encode("utf-8")
+        try:
+            handle = self._open()
+            handle.write(line)
+            handle.flush()
+            if self._durable:
+                # fdatasync flushes the data and the metadata needed to
+                # read it back (the new file size) but skips timestamp
+                # updates — all an append-only log needs, at lower cost
+                # than fsync.
+                getattr(os, "fdatasync", os.fsync)(handle.fileno())
+                get_recorder().count("durable.fsyncs")
+        except BaseException as exc:
+            # The record may or may not be in the file, and a retried
+            # fsync can report false success: reusing this seq or
+            # guessing its fate could lose acknowledged ops, so every
+            # later write is refused instead.
+            self._failure = exc
+            raise
 
     def append(self, operation: AtomicOperation) -> int:
         """Durably log ``operation``; returns its sequence number.

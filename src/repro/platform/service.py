@@ -186,7 +186,7 @@ class EBSNPlatform:
         ``cache_mismatches``/``cache_checks``.  The deep audit rebuilds
         the instance's caches, so keep it off hot paths.
         """
-        # Imported lazily: repro.check's package init imports the crash
+        # Imported lazily: repro.check's package init imports the
         # fuzzer, which imports the platform package back.
         from repro.check.auditor import InvariantAuditor
 

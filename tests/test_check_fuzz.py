@@ -1,52 +1,113 @@
-"""Differential fuzzer: seeded streams are clean, deterministic, and the
-CLI gate exits by the summary verdict."""
+"""The differential fuzzer: every target's seeded runs are clean,
+deterministic and aggregated the same way, and the CLI gate exits by
+the summary verdict.
+
+:class:`FuzzTargetContract` holds what every system under test must
+satisfy; one subclass per target runs it (``TestFuzzSeeds`` is the
+engine).  Target-specific properties live beside their subclass, and
+the durable target's crash matrix in ``tests/test_crash_fuzz.py``.
+"""
+
+import dataclasses
 
 import pytest
 
-from repro.check import FuzzConfig, fuzz_seed, run_fuzz
+from repro.check import TARGETS, CacheMismatch, FuzzConfig, run_fuzz
 from repro.core.tolerances import AUDIT_FLOAT_TOL
 from repro.obs import recording
 
 FAST = FuzzConfig(operations=6, n_users=16, n_events=8)
 
 
-class TestFuzzSeeds:
+class TestFuzzConfig:
+    def test_config_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            FuzzConfig().operations = 1
+
+    def test_only_the_sizes_are_settable(self):
+        assert [f.name for f in dataclasses.fields(FuzzConfig)] == [
+            "operations", "n_users", "n_events",
+        ]
+
+
+class FuzzTargetContract:
+    """Generic cases, run once per target by the subclasses below."""
+
+    target: str
+
     def test_seeded_stream_is_clean(self):
-        report = fuzz_seed(0, FAST)
-        assert report.ok, report.mismatches or report.violations
-        assert report.operations == FAST.operations
-        assert report.checks > 0
-        assert report.final_utility > 0
+        summary = run_fuzz([0], FAST, self.target)
+        assert summary.reports
+        for report in summary.reports:
+            assert report.ok, (report.label, report.mismatches,
+                               report.violations)
+            assert report.checks > 0
+        assert summary.operations > 0
 
     def test_fuzz_is_deterministic(self):
-        first = fuzz_seed(1, FAST)
-        second = fuzz_seed(1, FAST)
-        assert first.final_utility == second.final_utility
-        assert first.total_dif == second.total_dif
-        assert first.checks == second.checks
-        assert first.max_drift == second.max_drift
+        first = run_fuzz([1], FAST, self.target)
+        second = run_fuzz([1], FAST, self.target)
+        assert first.reports == second.reports
+        assert first.columns() == second.columns()
 
     def test_run_fuzz_aggregates_and_counts(self):
         with recording() as recorder:
-            summary = run_fuzz(range(3), FAST)
+            summary = run_fuzz([3, 4], FAST, self.target)
         assert summary.ok
-        assert summary.seeds == 3
-        assert summary.operations == 3 * FAST.operations
+        assert summary.seeds == 2
+        assert summary.operations == sum(r.operations for r in summary.reports)
         assert summary.checks == sum(r.checks for r in summary.reports)
+        assert summary.mismatches == []
+        assert summary.violations == []
         assert summary.failures() == []
-        assert recorder.counter_value("check.fuzz.seeds") == 3.0
+        assert recorder.counter_value("check.fuzz.seeds") == 2.0
+        assert recorder.counter_value("check.fuzz.scenarios") == len(
+            summary.reports
+        )
+        assert recorder.counter_value("check.fuzz.checks") == summary.checks
         assert recorder.counter_value("check.fuzz.mismatches") == 0.0
-        assert recorder.gauges["check.fuzz.max_drift"] == summary.max_drift
+        values = dict(summary.columns())
+        for header, _ in TARGETS[self.target].columns:
+            gauge = "check.fuzz." + header.replace(" ", "_")
+            assert recorder.gauges[gauge] == values[header]
+
+    def test_failures_surface_in_summary(self):
+        summary = run_fuzz([5], FAST, self.target)
+        report = summary.reports[0]
+        synthetic = CacheMismatch(
+            kind="synthetic", cached=1, expected=2, detail="injected"
+        )
+        report.mismatches.append(synthetic)
+        assert not summary.ok
+        assert summary.failures() == [report]
+        assert synthetic in summary.mismatches
+
+
+class TestFuzzSeeds(FuzzTargetContract):
+    target = "engine"
+
+    def test_every_operation_is_applied(self):
+        (report,) = run_fuzz([0], FAST).reports
+        assert report.operations == FAST.operations
+        assert report.stats.final_utility > 0
 
     def test_drift_stays_bounded_over_long_streams(self):
-        # Satellite: accumulated splice deltas must stay within the audit
-        # tolerance over IEP streams several times the CI length (the
-        # re-pin machinery records any excursion as a repin).
+        # Accumulated splice deltas must stay within the audit tolerance
+        # over IEP streams several times the CI length (the re-pin
+        # machinery records any excursion as a repin).
         config = FuzzConfig(operations=30, n_users=16, n_events=8)
-        report = fuzz_seed(7, config)
+        (report,) = run_fuzz([7], config).reports
         assert report.ok
-        assert report.max_drift < AUDIT_FLOAT_TOL
-        assert report.repins == 0
+        assert report.stats.max_drift < AUDIT_FLOAT_TOL
+        assert report.stats.repins == 0
+
+
+class TestDurableSeeds(FuzzTargetContract):
+    target = "durable"
+
+
+class TestServiceSeeds(FuzzTargetContract):
+    target = "service"
 
 
 class TestFuzzCLI:
@@ -67,8 +128,8 @@ class TestFuzzCLI:
     def test_fuzz_subcommand_fails_on_mismatch(self, capsys, monkeypatch):
         from repro import cli
 
-        def sabotaged(seeds, config=None):
-            summary = run_fuzz(seeds, config)
+        def sabotaged(seeds, config=None, target="engine"):
+            summary = run_fuzz(seeds, config, target)
             summary.reports[0].violations.append("injected failure")
             return summary
 
@@ -119,25 +180,24 @@ class TestRepin:
 
 
 class TestShardedFuzz:
-    SHARDED = FuzzConfig(
-        operations=6, n_users=16, n_events=8, sharded=True, shard_count=3
-    )
-
     def test_sharded_mode_is_clean(self):
-        report = fuzz_seed(0, self.SHARDED)
+        (report,) = run_fuzz([0], FAST, "sharded").reports
         assert report.ok, report.mismatches or report.violations
-        assert report.sharded_utility_ratio > 0
+        assert report.stats.sharded_utility_ratio > 0
 
     def test_sharded_mode_is_deterministic(self):
-        first = fuzz_seed(2, self.SHARDED)
-        second = fuzz_seed(2, self.SHARDED)
+        (first,) = run_fuzz([2], FAST, "sharded").reports
+        (second,) = run_fuzz([2], FAST, "sharded").reports
         assert first.checks == second.checks
-        assert first.final_utility == second.final_utility
-        assert first.sharded_utility_ratio == second.sharded_utility_ratio
+        assert first.stats.final_utility == second.stats.final_utility
+        assert (
+            first.stats.sharded_utility_ratio
+            == second.stats.sharded_utility_ratio
+        )
 
     def test_sharded_mode_adds_checks_over_plain(self):
-        plain = fuzz_seed(3, FAST)
-        sharded = fuzz_seed(3, self.SHARDED)
+        (plain,) = run_fuzz([3], FAST).reports
+        (sharded,) = run_fuzz([3], FAST, "sharded").reports
         assert sharded.checks > plain.checks
 
     def test_sharded_cli_flag(self, capsys):

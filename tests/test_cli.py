@@ -235,3 +235,51 @@ class TestDurableFlags:
     def test_simulate_defaults_to_memory(self):
         args = build_parser().parse_args(["simulate"])
         assert args.durable is None
+
+
+class TestFuzzFlags:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--durable", "--service"],
+            ["--sharded", "--durable"],
+            ["--sharded", "--service"],
+        ],
+    )
+    def test_target_flags_are_mutually_exclusive(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["fuzz", *flags])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [None, "sharded", "durable", "service"])
+    def test_reproduce_line_parses_back_to_the_run(
+        self, flag, capsys, monkeypatch
+    ):
+        import shlex
+
+        from repro import cli
+        from repro.check import run_fuzz
+
+        def failing(seeds, config, target):
+            summary = run_fuzz(seeds, config, target)
+            summary.reports[0].violations.append("injected failure")
+            return summary
+
+        monkeypatch.setattr(cli, "run_fuzz", failing)
+        argv = ["fuzz", "--base-seed", "7", "--seeds", "1",
+                "--operations", "3", "--users", "9", "--events", "6"]
+        if flag is not None:
+            argv.append(f"--{flag}")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        (line,) = [
+            line.split("reproduce: ", 1)[1]
+            for line in err.splitlines() if "reproduce: " in line
+        ]
+        program, *replay = shlex.split(line)
+        assert program == "repro-gepc"
+        replayed = build_parser().parse_args(replay)
+        original = build_parser().parse_args(argv)
+        assert cli.fuzz_run_of(replayed) == cli.fuzz_run_of(original)
+        assert (replayed.base_seed, replayed.seeds) == (7, 1)

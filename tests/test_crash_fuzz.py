@@ -1,70 +1,36 @@
-"""Crash-recovery fuzzing harness (the `fuzz --durable` leg)."""
+"""The durable fuzz target's crash matrix (``repro-gepc fuzz --durable``).
 
-import pytest
+The generic clean/deterministic/aggregate cases run for every target in
+``tests/test_check_fuzz.py`` (``TestDurableSeeds``).
+"""
 
-from repro.check import CrashFuzzConfig, crash_fuzz_seed, run_crash_fuzz
+from repro.check import FuzzConfig, fuzz, run_fuzz
 from repro.platform.durable import CRASH_POINTS
 
-FAST = CrashFuzzConfig(operations=10, n_users=16, n_events=8)
+FAST = FuzzConfig(operations=10, n_users=16, n_events=8)
 
 
 class TestSeedMatrix:
     def test_every_point_and_tear_covered(self):
-        reports = crash_fuzz_seed(0, FAST)
-        covered = {(r.point, r.tear_tail) for r in reports}
+        reports = run_fuzz([0], FAST, "durable").reports
+        covered = {(r.stats.point, r.stats.tear_tail) for r in reports}
         assert covered == {
             (point, tear) for point in CRASH_POINTS for tear in (False, True)
         }
 
-    def test_all_scenarios_recover_clean(self):
-        reports = crash_fuzz_seed(0, FAST)
-        failures = [r.label() for r in reports if not r.ok]
-        assert failures == []
-        # Every scenario actually crashed and recovered to a real horizon.
-        assert all(r.crashed for r in reports)
-
     def test_torn_tails_are_truncated(self):
-        reports = crash_fuzz_seed(1, FAST)
+        reports = run_fuzz([1], FAST, "durable").reports
         torn = [
-            r for r in reports if r.tear_tail and r.point != "snapshot"
+            r.stats for r in reports
+            if r.stats.tear_tail and r.stats.point != "snapshot"
         ]
         assert torn
-        assert all(r.truncated_records >= 1 for r in torn)
-
-    def test_scenarios_deterministic(self):
-        first = crash_fuzz_seed(2, FAST)
-        second = crash_fuzz_seed(2, FAST)
-        assert [(r.label(), r.recovered_seq) for r in first] == [
-            (r.label(), r.recovered_seq) for r in second
-        ]
-
-
-class TestSummary:
-    def test_multi_seed_aggregate(self):
-        summary = run_crash_fuzz([3, 4], FAST)
-        assert summary.ok
-        assert summary.seeds == 2
-        assert summary.scenarios == len(summary.reports)
-        assert summary.mismatches == []
-        assert summary.violations == []
-        assert summary.failures() == []
-        assert summary.replayed >= 0
-
-    def test_failures_surface_in_summary(self):
-        summary = run_crash_fuzz([5], FAST)
-        report = summary.reports[0]
-        report.mismatches.append("synthetic mismatch")
-        assert not summary.ok
-        assert summary.failures() == [report]
-        assert "synthetic mismatch" in summary.mismatches
+        assert all(stats.truncated_records >= 1 for stats in torn)
 
 
 class TestConfig:
     def test_defaults_are_fuzz_sized(self):
-        config = CrashFuzzConfig()
-        assert config.operations > 0
-        assert config.fsync is False
-
-    def test_config_frozen(self):
-        with pytest.raises(AttributeError):
-            CrashFuzzConfig().operations = 1
+        assert FuzzConfig().operations > 0
+        assert fuzz.DURABLE_FSYNC is False
+        # Several snapshots land inside every scenario's stream.
+        assert fuzz.DURABLE_SNAPSHOT_EVERY < FuzzConfig().operations

@@ -230,10 +230,10 @@ def test_service_fuzz_leg_reports_lockdep(monkeypatch):
     # the declared _state_lock -> _queue_lock order must be observed
     # cleanly (this is the CI gate in miniature).
     monkeypatch.setenv("REPRO_SHADOW_CHECKS", "1")
-    from repro.check.servicefuzz import ServiceFuzzConfig, run_service_fuzz
+    from repro.check import FuzzConfig, run_fuzz
 
-    summary = run_service_fuzz(
-        [0], ServiceFuzzConfig(operations=4, n_users=8, n_events=4)
+    summary = run_fuzz(
+        [0], FuzzConfig(operations=4, n_users=8, n_events=4), "service"
     )
     assert summary.ok
     assert summary.lockdep is not None

@@ -354,3 +354,109 @@ class TestWriteAheadLog:
         recovery = recover_wal(tmp_path / "absent.jsonl")
         assert recovery.records == ()
         assert recovery.last_seq == 0
+
+
+class TestWalWriteFailure:
+    """An I/O error poisons the WAL: no seq is reused, acked ops survive."""
+
+    @pytest.fixture
+    def eio_at_fdatasync(self, monkeypatch):
+        import errno
+        import os
+
+        real = getattr(os, "fdatasync", os.fsync)
+        fault = {"armed": False}
+
+        def fdatasync(fd):
+            if fault["armed"]:
+                raise OSError(errno.EIO, "injected EIO")
+            real(fd)
+
+        monkeypatch.setattr(os, "fdatasync", fdatasync, raising=False)
+        return fault
+
+    @staticmethod
+    def _op_seqs(path):
+        lines = path.read_text().splitlines()
+        return [
+            json.loads(line)["seq"] for line in lines
+            if json.loads(line)["kind"] == "op"
+        ]
+
+    def test_later_writes_refused_without_writing(
+        self, tmp_path, eio_at_fdatasync
+    ):
+        from repro.platform.oplog import (
+            WalFailedError,
+            WriteAheadLog,
+            recover_wal,
+        )
+
+        path = tmp_path / "wal.jsonl"
+        wal = WriteAheadLog(path)
+        assert wal.append(ALL_OPERATIONS[0]) == 1
+        eio_at_fdatasync["armed"] = True
+        with pytest.raises(OSError, match="injected EIO"):
+            wal.append(ALL_OPERATIONS[1])
+        eio_at_fdatasync["armed"] = False
+        size = path.stat().st_size
+        with pytest.raises(WalFailedError):
+            wal.append(ALL_OPERATIONS[2])
+        with pytest.raises(WalFailedError):
+            wal.mark_rejected(1)
+        wal.close()
+        assert path.stat().st_size == size
+        seqs = self._op_seqs(path)
+        assert len(seqs) == len(set(seqs))
+        recovery = recover_wal(path)
+        assert recovery.replayable()[0] == (1, ALL_OPERATIONS[0])
+
+    def test_acknowledged_ops_recover_after_fsync_error(
+        self, tmp_path, eio_at_fdatasync
+    ):
+        from repro.platform.durable import (
+            REJECTION_ERRORS,
+            WAL_FILENAME,
+            DurablePlatform,
+        )
+        from repro.platform.oplog import WalFailedError, recover_wal
+
+        instance = random_instance(3, n_users=12, n_events=6)
+        directory = tmp_path / "state"
+        platform = DurablePlatform(
+            instance, directory, solver=GreedySolver(seed=3),
+            snapshot_every=1000,
+        )
+        platform.publish_plans()
+        operations = list(
+            OperationStream(seed=3).mixed(
+                platform.instance, platform.plan, 8
+            )
+        )
+        acked = {}
+        for operation in operations[:4]:
+            try:
+                platform.submit(operation)
+            except REJECTION_ERRORS:
+                continue
+            acked[platform.seq] = operation
+        assert acked
+        eio_at_fdatasync["armed"] = True
+        with pytest.raises(OSError, match="injected EIO"):
+            platform.submit(operations[4])
+        eio_at_fdatasync["armed"] = False
+        for operation in operations[5:]:
+            with pytest.raises(WalFailedError):
+                platform.submit(operation)
+        platform.close()
+
+        seqs = self._op_seqs(directory / WAL_FILENAME)
+        assert len(seqs) == len(set(seqs))
+        recovered, report = DurablePlatform.recover(
+            directory, solver=GreedySolver(seed=3), snapshot_every=1000
+        )
+        recovered.close()
+        assert report.ok
+        assert report.last_seq >= max(acked)
+        replayable = dict(recover_wal(directory / WAL_FILENAME).replayable())
+        assert {seq: replayable.get(seq) for seq in acked} == acked

@@ -5,8 +5,8 @@ threads stream operations at it; the process is SIGKILLed mid-stream
 (no shutdown path runs at all).  A restarted service must recover every
 tenant through strict auditing and be **bit-identical to an uncrashed
 in-process twin at the durable horizon** — the per-seq twin states come
-from the same :func:`repro.check.run_twin` machinery the crash fuzzer
-uses.
+from the same :func:`repro.check.run_twin` machinery the durable fuzz
+target uses.
 """
 
 import os
@@ -21,9 +21,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.check import run_twin
+from repro.check import FuzzConfig, fuzz_instance, run_twin
 from repro.core.gepc import GreedySolver
-from repro.datasets import MeetupConfig, generate_ebsn
 from repro.platform import DurablePlatform
 from repro.service import ServiceClient
 from repro.service.server import READY_LINE
@@ -51,14 +50,8 @@ def spec_of(name: str) -> dict:
 
 def make_instance(name: str):
     spec = spec_of(name)
-    return generate_ebsn(
-        MeetupConfig(
-            n_users=spec["users"],
-            n_events=spec["events"],
-            n_groups=4,
-            conflict_ratio=0.35,
-            seed=spec["seed"],
-        )
+    return fuzz_instance(
+        spec["seed"], FuzzConfig(n_users=spec["users"], n_events=spec["events"])
     )
 
 
