@@ -208,43 +208,6 @@ class InvariantAuditor:
         obs.count("check.audit.mismatches", len(report.mismatches))
         return report
 
-    def audit_shared_planes(self, instance: Instance) -> AuditReport:
-        """Audit a shared-memory plane roundtrip of ``instance``.
-
-        Publishes the warmed planes, pickles the instance (handles only),
-        re-attaches in-process, and audits the attached clone's caches
-        against a from-scratch rebuild — the same reference the regular
-        instance-cache audit uses.  A byte lost or reordered anywhere in
-        the share/attach path shows up as a cache mismatch.
-        """
-        import pickle
-
-        from repro.core.shm import PlaneManager
-
-        report = AuditReport()
-        with PlaneManager() as manager:
-            instance.share_planes(manager)
-            try:
-                clone: Instance = pickle.loads(pickle.dumps(instance))
-                self._audit_instance_caches(clone, clone.rebuilt(), report)
-                report.checks += 1
-                if not np.array_equal(clone.utility, instance.utility):
-                    report.mismatches.append(
-                        CacheMismatch(
-                            kind="shm_utility_plane",
-                            cached="<attached utility>",
-                            expected="<parent utility>",
-                            detail="utility plane changed across the "
-                            "share/attach roundtrip",
-                        )
-                    )
-            finally:
-                instance.unshare_planes()
-        obs = get_recorder()
-        obs.count("check.audit.shm_checks", report.checks)
-        obs.count("check.audit.mismatches", len(report.mismatches))
-        return report
-
     def audit_instance_update(
         self, old: Instance, new: Instance
     ) -> AuditReport:

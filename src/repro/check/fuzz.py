@@ -533,16 +533,13 @@ def _engine_seed(
         _measure_drift(plan, report, stats)
         _check_kernel_vs_scalar(instance, plan, step, report)
 
-    # Strategy and shared-plane equivalence run once per seed on the
-    # final state — after the operation stream has bent the instance
-    # through NewEvent appends, bound shifts, and cache patches, which is
-    # exactly where a strategy shortcut or a share/attach bug would show.
+    # Strategy equivalence runs once per seed on the final state — after
+    # the operation stream has bent the instance through NewEvent
+    # appends, bound shifts, and cache patches, which is exactly where a
+    # strategy shortcut would show.
     strategy_audit = auditor.audit_kernel_strategies(plan)
     report.checks += strategy_audit.checks
     report.mismatches.extend(strategy_audit.mismatches)
-    shm_audit = auditor.audit_shared_planes(instance)
-    report.checks += shm_audit.checks
-    report.mismatches.extend(shm_audit.mismatches)
 
     if sharded:
         # The stream mutated `instance` past the generated one; the

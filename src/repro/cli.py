@@ -4,7 +4,7 @@ Installed as ``repro-gepc``::
 
     repro-gepc solve --city beijing --solver greedy
     repro-gepc solve --city auckland --solver gap --scale 0.5
-    repro-gepc solve --city vancouver --shards 4 --workers 4
+    repro-gepc solve --city vancouver --shards 4
     repro-gepc simulate --city auckland --batch 8 --operations 40
     repro-gepc fuzz --seeds 10 --sharded
     repro-gepc compare --city beijing
@@ -43,9 +43,7 @@ from repro.obs import recording, render_text, write_json
 from repro.platform import EBSNPlatform, OperationStream
 
 
-def _solver_by_name(
-    name: str, seed: int, shards: int = 1, workers: int = 1
-):
+def _solver_by_name(name: str, seed: int, shards: int = 1):
     if shards > 1:
         if name != "greedy":
             raise SystemExit(
@@ -54,7 +52,7 @@ def _solver_by_name(
             )
         from repro.scale import ShardedSolver
 
-        return ShardedSolver(shards=shards, workers=workers, seed=seed)
+        return ShardedSolver(shards=shards, seed=seed)
     if name == "greedy":
         return GreedySolver(seed=seed)
     if name == "gap":
@@ -64,15 +62,9 @@ def _solver_by_name(
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = make_city(args.city, scale=args.scale)
-    solver = _solver_by_name(
-        args.solver, args.seed, shards=args.shards, workers=args.workers
-    )
+    solver = _solver_by_name(args.solver, args.seed, shards=args.shards)
     label = solver.name if args.shards > 1 else args.solver
-    try:
-        solution, result = measure(label, lambda: solver.solve(instance))
-    finally:
-        if hasattr(solver, "close"):
-            solver.close()
+    solution, result = measure(label, lambda: solver.solve(instance))
     violations = check_plan(instance, solution.plan)
     print(
         format_table(
@@ -139,15 +131,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_solve_file(args: argparse.Namespace) -> int:
     instance = load_instance(args.dataset)
-    solver = _solver_by_name(
-        args.solver, args.seed, shards=args.shards, workers=args.workers
-    )
+    solver = _solver_by_name(args.solver, args.seed, shards=args.shards)
     label = solver.name if args.shards > 1 else args.solver
-    try:
-        solution, result = measure(label, lambda: solver.solve(instance))
-    finally:
-        if hasattr(solver, "close"):
-            solver.close()
+    solution, result = measure(label, lambda: solver.solve(instance))
     violations = check_plan(instance, solution.plan)
     print(
         format_table(
@@ -161,9 +147,7 @@ def _cmd_solve_file(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     instance = make_city(args.city, scale=args.scale)
-    solver = _solver_by_name(
-        "greedy", args.seed, shards=args.shards, workers=args.workers
-    )
+    solver = _solver_by_name("greedy", args.seed, shards=args.shards)
     if args.batch > 1:
         return _simulate_batched(instance, solver, args)
     if args.durable is not None:
@@ -382,10 +366,6 @@ def _add_scale_arguments(sub: argparse.ArgumentParser) -> None:
         "--shards", type=int, default=1,
         help="solve as this many spatial shards (greedy only; "
         "see docs/scaling.md)",
-    )
-    sub.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool width for the shard-solve stage (default 1)",
     )
 
 

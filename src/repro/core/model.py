@@ -153,8 +153,6 @@ class Instance:
         self._conflict_matrix: np.ndarray | None = None
         self._event_starts: np.ndarray | None = None
         self._fee_vector: np.ndarray | None = None
-        self._plane_handles: dict | None = None
-        self._plane_attachments: list = []
 
     @classmethod
     def _from_validated(
@@ -185,8 +183,6 @@ class Instance:
         instance._conflict_matrix = None
         instance._event_starts = None
         instance._fee_vector = None
-        instance._plane_handles = None
-        instance._plane_attachments = []
         return instance
 
     # ------------------------------------------------------------------ #
@@ -308,86 +304,28 @@ class Instance:
         return _read_only(self._fee_vector)
 
     # ------------------------------------------------------------------ #
-    # Pickling (shard dispatch to worker processes)
+    # Plane warming and pickling
     # ------------------------------------------------------------------ #
 
     def warm_planes(self) -> None:
         """Force-build every immutable dense plane a solve reads.
 
-        Warming before partitioning/sharing guarantees that shard
-        subinstances *slice* these planes (bit-exact) instead of each
-        rebuilding geometry, and that :meth:`share_planes` has arrays to
-        publish.
+        Warming before partitioning guarantees that shard subinstances
+        *slice* these planes (bit-exact) instead of each rebuilding
+        geometry.
         """
         self.distances
         self.conflict_matrix
         self.event_starts
         self.fee_vector
 
-    def share_planes(self, manager) -> dict:
-        """Publish the dense planes into shared memory via ``manager``.
-
-        After this call the instance pickles as plane *handles* (a few
-        dozen bytes each) instead of the dense arrays — see
-        :meth:`__getstate__`.  The manager (a
-        :class:`repro.core.shm.PlaneManager`) owns segment lifetime; once
-        it releases, previously pickled payloads can no longer attach.
-        Returns the handle mapping (also kept on the instance).
-        """
-        self.warm_planes()
-        d = self.distances
-        assert self._conflict_matrix is not None  # warmed above
-        assert self._event_starts is not None
-        assert self._fee_vector is not None
-        handles = {
-            "utility": manager.share(self.utility),
-            "conflict_matrix": manager.share(self._conflict_matrix),
-            "event_starts": manager.share(self._event_starts),
-            "fee_vector": manager.share(self._fee_vector),
-        }
-        if isinstance(d, TiledDistanceMatrix):
-            # Tiled mode never owns a dense plane: publish the tiny
-            # coordinate arrays instead; workers rebuild an identical
-            # tiled backend from them (distances are elementwise in the
-            # endpoint coordinates, so every served value matches).
-            handles["user_coords"] = manager.share(d.user_coords)
-            handles["event_coords"] = manager.share(d.event_coords)
-        else:
-            handles["user_event"] = manager.share(
-                d.user_event_matrix  # repro-lint: ignore[RL008] dense branch shares its already-materialised plane
-            )
-            handles["event_event"] = manager.share(d.event_event_matrix)
-        self._plane_handles = handles
-        return self._plane_handles
-
-    def unshare_planes(self) -> None:
-        """Forget the shared handles; pickling reverts to dense arrays.
-
-        Does **not** release the segments — that is the owning
-        :class:`~repro.core.shm.PlaneManager`'s job.
-        """
-        self._plane_handles = None
-
     def __getstate__(self) -> dict:
         """Pickle only the raw problem data, never the lazy caches.
 
-        Shard instances cross a process boundary on every parallel solve
-        (:class:`repro.scale.ShardedSolver`); shipping the dense distance
-        and conflict caches would multiply the IPC payload for structures
-        the worker can rebuild lazily from the same data.
-
-        After :meth:`share_planes`, even the raw utility matrix stays
-        home: the payload carries :class:`~repro.core.shm.PlaneHandle`
-        descriptors and the worker attaches the parent's segments
-        zero-copy (:meth:`__setstate__` below).
+        The dense distance and conflict caches are pure functions of the
+        pickled data; shipping them would multiply the payload for
+        structures the unpickled copy rebuilds lazily.
         """
-        if self._plane_handles is not None:
-            return {
-                "users": self.users,
-                "events": self.events,
-                "cost_model": self.cost_model,
-                "planes": self._plane_handles,
-            }
         return {
             "users": self.users,
             "events": self.events,
@@ -398,6 +336,7 @@ class Instance:
     def __setstate__(self, state: dict) -> None:
         self.users = state["users"]
         self.events = state["events"]
+        self.utility = state["utility"]
         self.cost_model = state["cost_model"]
         self._distances = None
         self._candidates = None
@@ -405,45 +344,6 @@ class Instance:
         self._conflict_matrix = None
         self._event_starts = None
         self._fee_vector = None
-        self._plane_handles = None
-        self._plane_attachments = []
-        handles = state.get("planes")
-        if handles is None:
-            self.utility = state["utility"]
-            return
-        # Zero-copy restore: attach every published plane read-only and
-        # pre-seed the caches with the attached arrays.  Values are the
-        # parent's bytes, so every downstream computation is bit-identical
-        # to an in-process solve over the warmed parent.
-        from repro.core.shm import attach_plane
-        from repro.geo.distance import DistanceMatrix as _DistanceMatrix
-
-        arrays = {}
-        for key, handle in handles.items():
-            attachment = attach_plane(handle)
-            self._plane_attachments.append(attachment)
-            arrays[key] = attachment.array
-        self.utility = arrays["utility"]
-        if "user_coords" in arrays:
-            # Tiled dispatch: the parent shipped coordinates, not planes;
-            # the worker's backend recomputes identical tiles on demand.
-            self._distances = TiledDistanceMatrix(
-                arrays["user_coords"],
-                arrays["event_coords"],
-                metric=self.cost_model.metric,
-            )
-        else:
-            self._distances = _DistanceMatrix.from_matrices(
-                arrays["user_event"],
-                arrays["event_event"],
-                metric=self.cost_model.metric,
-            )
-        self._conflict_matrix = arrays["conflict_matrix"]
-        self._event_starts = arrays["event_starts"]
-        self._fee_vector = arrays["fee_vector"]
-        # Keep the handles: re-pickling this attached instance (e.g. a
-        # nested dispatch) forwards the same segments instead of copying.
-        self._plane_handles = handles
 
     def subinstance(
         self,

@@ -182,8 +182,8 @@ class TiledDistanceMatrix:
         dtype: type[np.floating] | None = None,
     ) -> None:
         self._metric: TravelMetric = metric or EUCLIDEAN
-        # Owned writable copies: the source may be a read-only shm
-        # attachment, and the in-place patch methods write these.
+        # Owned writable copies: the source may be a caller's array or a
+        # read-only view, and the in-place patch methods write these.
         self._user_coords = np.array(
             user_coords, dtype=np.float64, copy=True
         ).reshape(-1, 2)
@@ -241,14 +241,14 @@ class TiledDistanceMatrix:
 
     @property
     def user_coords(self) -> np.ndarray:
-        """``(n, 2)`` user coordinates (read-only view; shm-shareable)."""
+        """``(n, 2)`` user coordinates (read-only view)."""
         view = self._user_coords.view()
         view.flags.writeable = False
         return view
 
     @property
     def event_coords(self) -> np.ndarray:
-        """``(m, 2)`` event coordinates (read-only view; shm-shareable)."""
+        """``(m, 2)`` event coordinates (read-only view)."""
         view = self._event_coords.view()
         view.flags.writeable = False
         return view

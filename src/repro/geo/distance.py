@@ -116,37 +116,6 @@ class DistanceMatrix:
         ids = np.asarray(users, dtype=np.intp).reshape(-1)
         return self._user_event[ids]
 
-    @classmethod
-    def from_matrices(
-        cls,
-        user_event: np.ndarray,
-        event_event: np.ndarray,
-        metric=None,
-    ) -> "DistanceMatrix":
-        """Wrap already-computed blocks without re-running the metric.
-
-        The zero-copy shard path builds workers' distance caches this way:
-        the blocks are shared-memory attachments of the parent's matrices,
-        so the values are bit-identical to the parent's by construction.
-        The blocks are adopted as-is (possibly read-only views); callers
-        that need to patch must :meth:`copy` first — exactly the contract
-        the ``with_*`` cache-preserving paths already follow.
-        """
-        from repro.geo.metrics import EUCLIDEAN
-
-        if user_event.shape[1] != event_event.shape[0] or (
-            event_event.shape[0] != event_event.shape[1]
-        ):
-            raise ValueError(
-                f"inconsistent blocks: user-event {user_event.shape} vs "
-                f"event-event {event_event.shape}"
-            )
-        matrix = object.__new__(cls)
-        matrix._metric = metric or EUCLIDEAN
-        matrix._user_event = user_event
-        matrix._event_event = event_event
-        return matrix
-
     def copy(self) -> "DistanceMatrix":
         """An independent deep copy (used before in-place patching)."""
         clone = object.__new__(DistanceMatrix)

@@ -16,7 +16,6 @@ RL003     lock-discipline            guarded-by attrs accessed under lock
 RL004     leaked-mutable-array       public APIs freeze/copy cache ndarrays
 RL005     determinism                seeded RNGs; no set-order loops
 RL006     obs-coverage               entry points open a repro.obs span
-RL007     shm-discipline             shared-memory planes torn down safely
 RL008     dense-materialisation      no dense planes outside the backend
 RL009     async-blocking-discipline  no blocking call paths from async defs
 RL010     lock-order-discipline      acyclic global lock-acquisition order

@@ -7,7 +7,6 @@ from repro.lint.rules import (  # noqa: F401  (imported for registration)
     rl004_leaks,
     rl005_determinism,
     rl006_obs,
-    rl007_shm,
     rl008_dense,
     rl009_async,
     rl010_lockorder,
@@ -19,7 +18,6 @@ from repro.lint.rules.rl003_locks import LockDiscipline
 from repro.lint.rules.rl004_leaks import LeakedMutableArray
 from repro.lint.rules.rl005_determinism import Determinism
 from repro.lint.rules.rl006_obs import ObsCoverage
-from repro.lint.rules.rl007_shm import ShmDiscipline
 from repro.lint.rules.rl008_dense import DenseMaterialisationDiscipline
 from repro.lint.rules.rl009_async import AsyncBlockingDiscipline
 from repro.lint.rules.rl010_lockorder import LockOrderDiscipline
@@ -32,7 +30,6 @@ __all__ = [
     "LeakedMutableArray",
     "Determinism",
     "ObsCoverage",
-    "ShmDiscipline",
     "DenseMaterialisationDiscipline",
     "AsyncBlockingDiscipline",
     "LockOrderDiscipline",

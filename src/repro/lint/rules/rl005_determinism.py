@@ -1,7 +1,7 @@
 """RL005 determinism: solver modules seed every RNG and order every set.
 
-The differential fuzzer, the sharded worker-count-independence contract,
-and the tier-1 utility pins all assume a solve is a pure function of
+The differential fuzzer, the sharded solver's shard-by-shard merge, and
+the tier-1 utility pins all assume a solve is a pure function of
 ``(instance, seed)``.  Two things silently break that inside solver code:
 
 * module-level RNG calls (``random.shuffle``, ``np.random.rand``) or

@@ -1,10 +1,10 @@
-"""Scaling subsystem: spatial sharding, parallel solve, batched serving.
+"""Scaling subsystem: spatial sharding, sharded solve, batched serving.
 
 See ``docs/scaling.md`` for the design.  The three public pieces:
 
 * :func:`partition_instance` — deterministic geographic partitioner.
-* :class:`ShardedSolver` — GEPC solver over ``k`` shards, optionally on
-  a process pool, with post-merge boundary repair.
+* :class:`ShardedSolver` — GEPC solver over ``k`` shards, solved in
+  shard order, with post-merge boundary repair.
 * :class:`BatchedPlatform` — thread-safe, coalescing operation front-end
   over :class:`~repro.platform.service.EBSNPlatform`.
 """

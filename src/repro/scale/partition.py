@@ -7,8 +7,7 @@ locations** yields ``k`` event clusters; every event joins its nearest
 centroid's shard and every user joins the shard of their nearest
 event-cluster.  Each shard becomes an independent, re-indexed
 :class:`~repro.core.model.Instance` (via ``Instance.subinstance``, which
-slices any warmed caches bit-exactly) that a worker process can solve in
-isolation.
+slices any warmed caches bit-exactly) that can be solved in isolation.
 
 The cut is lossy at shard boundaries: a user may be able to reach events
 assigned to other shards.  The partitioner therefore computes a

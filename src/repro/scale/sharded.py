@@ -1,4 +1,4 @@
-"""Sharded parallel GEPC solving.
+"""Sharded GEPC solving.
 
 :class:`ShardedSolver` runs the three-stage pipeline described in
 ``docs/scaling.md``:
@@ -7,11 +7,7 @@
    the instance into ``k`` spatial shards (seeded k-means over event
    locations, users to their nearest event-cluster).
 2. **Solve shards** — each shard is an independent GEPC instance solved
-   by the greedy two-step solver.  With ``workers > 1`` the shards go to
-   a ``concurrent.futures.ProcessPoolExecutor`` (shard instances pickle
-   without their caches; see ``Instance.__getstate__``); results come
-   back in shard order, so the merged plan is identical for any worker
-   count.
+   in shard order by the greedy two-step solver.
 3. **Merge + cross-shard recovery** — shard plans are *transplanted*
    into one :class:`~repro.core.plan.GlobalPlan` over the full instance
    (shards are disjoint in users *and* events and the subinstance cache
@@ -26,19 +22,13 @@
    already meet their lower bound (or roll back), so every ``xi_j`` that
    held per-shard still holds globally.
 
-Every stage emits ``repro.obs`` spans; per-shard wall time, counters,
-and diagnostics are aggregated into the parent recorder even when the
-shard was solved in a worker process.
+Every stage emits ``repro.obs`` spans, and each shard is solved under the
+caller's recorder, so shard counters add up in place.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
 import weakref
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -47,85 +37,13 @@ from repro.core.gepc.fill import UtilityFill
 from repro.core.gepc.greedy import GreedySolver
 from repro.core.model import Instance
 from repro.core.plan import GlobalPlan
-from repro.core.shm import PlaneManager
-from repro.obs import Recorder, get_recorder, recording
+from repro.obs import Recorder, get_recorder
 from repro.scale.partition import (
     Partition,
     Shard,
     partition_instance,
     reachable_matrix,
 )
-
-#: Environment switch for the zero-copy dispatch path.  Shared-memory
-#: planes are the default for parallel solves; ``REPRO_SHM=0`` falls back
-#: to pickling each shard's dense slices (useful for platform triage).
-SHM_ENV_VAR = "REPRO_SHM"
-
-
-def _shm_enabled() -> bool:
-    return os.environ.get(SHM_ENV_VAR, "1").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
-
-
-def _solve_shard(payload: tuple[int, Instance, int | None, bool]) -> dict:
-    """Solve one shard (module-level so worker processes can import it).
-
-    Returns a compact, picklable result: per-user local plans, cancelled
-    local event ids, diagnostics, and the shard's recorder counters —
-    never live ``GlobalPlan``/``Instance`` objects.
-    """
-    index, shard_instance, seed, fill = payload
-    with recording(Recorder()) as recorder:
-        span = recorder.span("scale.shard_solve")
-        with span:
-            solution = GreedySolver(seed=seed, fill=fill).solve(shard_instance)
-    return {
-        "index": index,
-        "plans": [
-            list(events) for _, events in solution.plan
-        ],
-        # Exact accumulated route costs: the merge transplants these
-        # instead of re-splicing every assignment, so the merged plan is
-        # bit-identical to the shard state (and the merge is O(plan)).
-        "route_costs": [
-            solution.plan.route_cost(user)
-            for user in range(shard_instance.n_users)
-        ],
-        "cancelled": sorted(solution.cancelled),
-        "diagnostics": dict(solution.diagnostics),
-        "counters": dict(recorder.counters),
-        "seconds": span.elapsed,
-    }
-
-
-def _solve_shard_shm(
-    payload: tuple[int, Instance, np.ndarray, np.ndarray, int | None, bool]
-) -> dict:
-    """Worker entry for the zero-copy dispatch path.
-
-    ``parent`` arrives as plane handles (see ``Instance.__getstate__``)
-    and is attached — not copied — during unpickling; the worker then
-    cuts its own shard slice from the attached planes.  Slicing copies
-    the same bytes ``Instance.subinstance`` copies in-process from the
-    warmed parent, so the shard solve is bit-identical to the
-    ``workers=1`` path.
-    """
-    index, parent, user_ids, event_ids, seed, fill = payload
-    with recording(Recorder()) as recorder:
-        recorder.count(
-            "shm.planes_attached_in_worker", len(parent._plane_attachments)
-        )
-        with recorder.span("scale.shard_slice"):
-            shard_instance = parent.subinstance(user_ids, event_ids)
-    result = _solve_shard((index, shard_instance, seed, fill))
-    for key, value in recorder.counters.items():
-        result["counters"][key] = result["counters"].get(key, 0) + value
-    # Attachments close on GC too (weakref.finalize); closing before
-    # returning keeps long-lived pool workers from holding mappings.
-    for attachment in parent._plane_attachments:
-        attachment.close()
-    return result
 
 
 def _repair_candidates(
@@ -167,7 +85,7 @@ def _repair_candidates(
 
 
 class ShardedSolver(GEPCSolver):
-    """Solve a GEPC instance as ``k`` spatial shards, optionally in parallel.
+    """Solve a GEPC instance as ``k`` spatial shards.
 
     Parameters
     ----------
@@ -175,10 +93,6 @@ class ShardedSolver(GEPCSolver):
         Target shard count ``k`` (clamped to the event count; empty
         clusters are dropped).  ``shards=1`` delegates to the plain
         greedy solver and produces its bit-identical plan.
-    workers:
-        Process-pool width for the shard-solve stage.  ``workers=1``
-        solves in-process; any value produces the identical merged plan
-        (results are merged in shard order, not completion order).
     seed:
         Seed for both the partitioner's k-means and every shard's greedy
         visiting order.
@@ -188,20 +102,6 @@ class ShardedSolver(GEPCSolver):
     filler:
         The boundary-repair filler re-run on fringe users after the
         merge (defaults to :class:`UtilityFill`).
-    share_planes:
-        Whether parallel solves publish the parent's dense planes into
-        shared memory and dispatch shards as (handles, id arrays) —
-        zero-copy — instead of pickling each shard's sliced planes.
-        ``None`` (default) reads the ``REPRO_SHM`` environment switch
-        (on unless set to ``0``/``false``/``off``/``no``).  The merged
-        plan is bit-identical either way.
-
-    The process pool is created lazily on the first parallel solve and
-    reused across solves; call :meth:`close` (or use the solver as a
-    context manager) to release the workers.  Shared-memory segments
-    live only for the duration of one parallel solve: they are released
-    in a ``finally`` even when a worker dies mid-solve, and a broken
-    pool is torn down and rebuilt on the next solve.
     """
 
     name = "sharded"
@@ -209,24 +109,16 @@ class ShardedSolver(GEPCSolver):
     def __init__(
         self,
         shards: int = 4,
-        workers: int = 1,
         seed: int | None = 0,
         fill: bool = True,
         filler: Filler | None = None,
-        share_planes: bool | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self._shards = shards
-        self._workers = workers
         self._seed = seed
         self._fill = fill
         self._filler = filler or UtilityFill()
-        self._share_planes = share_planes
-        self._pool: ProcessPoolExecutor | None = None  # guarded-by: _pool_lock
-        self._pool_lock = threading.Lock()
         # Partition memo for repeated solves of the *same* instance
         # object: partitioning is deterministic in (instance, shards,
         # seed), so the cut can be reused — it is pure serial time on
@@ -234,51 +126,6 @@ class ShardedSolver(GEPCSolver):
         # keeps a dead instance (and its planes) alive.
         self._partition_ref: "weakref.ref[Instance] | None" = None
         self._partition_cached: Partition | None = None
-
-    # ------------------------------------------------------------------ #
-    # Pool lifecycle
-    # ------------------------------------------------------------------ #
-
-    def _executor(self, width: int) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                kwargs = {}
-                if "fork" in multiprocessing.get_all_start_methods():
-                    # Fork inherits the imported package: no re-import cost
-                    # per worker, and the cheapest start-up on Linux CI
-                    # runners.
-                    kwargs["mp_context"] = multiprocessing.get_context("fork")
-                self._pool = ProcessPoolExecutor(max_workers=width, **kwargs)
-            return self._pool
-
-    def close(self) -> None:
-        """Shut down the worker pool (no-op when none was started)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def _reset_broken_pool(self) -> None:
-        """Discard a pool whose worker died; the next solve rebuilds it.
-
-        A ``BrokenProcessPool`` executor rejects every future submission,
-        so keeping it would poison all later solves through this solver.
-        """
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            # Workers are already gone; don't block on them.
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def __enter__(self) -> "ShardedSolver":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # Solving
-    # ------------------------------------------------------------------ #
 
     def solve(self, instance: Instance) -> GEPCSolution:
         obs = get_recorder()
@@ -290,25 +137,24 @@ class ShardedSolver(GEPCSolver):
             ).solve(instance)
             solution.solver = self.name
             solution.diagnostics.update(
-                {"shards": 1.0, "workers": 1.0, "fringe_users": 0.0,
+                {"shards": 1.0, "fringe_users": 0.0,
                  "repair_added": 0.0}
             )
             return solution
 
         # Warm the dense planes before partitioning so every shard slice
-        # is a bit-exact cut of the same arrays — and so the zero-copy
-        # path has planes to publish.  (The partitioner would warm the
-        # user-event block anyway; this makes the rest explicit.)
+        # is a bit-exact cut of the same arrays.  (The partitioner would
+        # warm the user-event block anyway; this makes the rest explicit.)
         instance.warm_planes()
         partition = self._partition_for(instance)
-        results = self._solve_shards(instance, partition.shards, obs)
+        solutions = self._solve_shards(partition.shards, obs)
 
         with obs.span("scale.merge"):
             plan = GlobalPlan(instance)
             cancelled: set[int] = set()
             diagnostics: dict[str, float] = {}
-            for shard, result in zip(partition.shards, results):
-                for local_user, events in enumerate(result["plans"]):
+            for shard, solution in zip(partition.shards, solutions):
+                for local_user, events in solution.plan:
                     global_user = int(shard.user_ids[local_user])
                     # Transplant instead of plan.add: shards are disjoint
                     # in users and events and subinstance slicing is
@@ -318,22 +164,16 @@ class ShardedSolver(GEPCSolver):
                     route = [int(shard.event_ids[e]) for e in events]
                     # repro-lint: ignore[RL001] bit-exact shard transplant
                     plan._plans[global_user] = route
-                    plan._route_costs[global_user] = result[  # repro-lint: ignore[RL001] transplant, see above
-                        "route_costs"
-                    ][local_user]
+                    cost = solution.plan.route_cost(local_user)
+                    plan._route_costs[global_user] = cost  # repro-lint: ignore[RL001] transplant, see above
                     for event in route:
                         plan._attendance[event] += 1  # repro-lint: ignore[RL001] transplant, see above
                         plan._attendee_sets[event].add(global_user)  # repro-lint: ignore[RL001] transplant, see above
                 cancelled.update(
-                    int(shard.event_ids[e]) for e in result["cancelled"]
+                    int(shard.event_ids[e]) for e in solution.cancelled
                 )
-                for key, value in result["diagnostics"].items():
+                for key, value in solution.diagnostics.items():
                     diagnostics[key] = diagnostics.get(key, 0.0) + value
-                for key, value in result["counters"].items():
-                    obs.count(key, value)
-                obs.gauge(
-                    f"scale.shard.{shard.index}.seconds", result["seconds"]
-                )
 
         rescued = 0
         rescued_events: set[int] = set()
@@ -362,7 +202,6 @@ class ShardedSolver(GEPCSolver):
         diagnostics.update(
             {
                 "shards": float(partition.n_shards),
-                "workers": float(self._workers),
                 "fringe_users": float(len(partition.fringe_users)),
                 "rescue_added": float(rescued),
                 "repair_added": float(repaired),
@@ -426,59 +265,19 @@ class ShardedSolver(GEPCSolver):
         return rescued
 
     def _solve_shards(
-        self, instance: Instance, shards: list[Shard], obs: Recorder
-    ) -> list[dict]:
-        width = min(self._workers, len(shards))
+        self, shards: list[Shard], obs: Recorder
+    ) -> list[GEPCSolution]:
+        solutions = []
         with obs.span("scale.solve_shards"):
-            if width <= 1:
-                return [
-                    _solve_shard(
-                        (shard.index, shard.instance, self._seed, self._fill)
+            for shard in shards:
+                with obs.span("scale.shard_solve") as span:
+                    solutions.append(
+                        GreedySolver(seed=self._seed, fill=self._fill).solve(
+                            shard.instance
+                        )
                     )
-                    for shard in shards
-                ]
-            share = (
-                _shm_enabled()
-                if self._share_planes is None
-                else self._share_planes
-            )
-            if not share:
-                payloads = [
-                    (shard.index, shard.instance, self._seed, self._fill)
-                    for shard in shards
-                ]
-                return self._map_pool(width, _solve_shard, payloads)
-            # Zero-copy dispatch: publish the parent planes once, ship
-            # only (handles, shard id arrays).  Segments are released in
-            # the finally — also when a worker dies mid-solve — so no
-            # /dev/shm entry can outlive the solve.
-            manager = PlaneManager()
-            try:
-                instance.share_planes(manager)
-                payloads_shm = [
-                    (
-                        shard.index,
-                        instance,
-                        shard.user_ids,
-                        shard.event_ids,
-                        self._seed,
-                        self._fill,
-                    )
-                    for shard in shards
-                ]
-                return self._map_pool(width, _solve_shard_shm, payloads_shm)
-            finally:
-                instance.unshare_planes()
-                manager.release()
-
-    def _map_pool(self, width: int, worker, payloads: list) -> list[dict]:
-        # map() preserves submission order: merge order (and thus the
-        # final plan) is independent of completion order.
-        try:
-            return list(self._executor(width).map(worker, payloads))
-        except BrokenProcessPool:
-            self._reset_broken_pool()
-            raise
+                obs.gauge(f"scale.shard.{shard.index}.seconds", span.elapsed)
+        return solutions
 
     def _partition_for(self, instance: Instance) -> Partition:
         """The (memoized) partition of ``instance``.

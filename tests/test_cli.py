@@ -88,7 +88,7 @@ class TestScaleFlags:
     def test_solve_sharded(self, capsys):
         code = main(
             ["solve", "--city", "beijing", "--scale", "0.3",
-             "--shards", "3", "--workers", "2"]
+             "--shards", "3"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -115,7 +115,6 @@ class TestScaleFlags:
         args = build_parser().parse_args(["simulate"])
         assert args.batch == 1
         assert args.shards == 1
-        assert args.workers == 1
 
     def test_fuzz_sharded_flag_parsed(self):
         args = build_parser().parse_args(["fuzz", "--sharded"])

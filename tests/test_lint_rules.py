@@ -415,80 +415,6 @@ def test_rl006_allows_abstract_entry_point():
 
 
 # --------------------------------------------------------------------- #
-# RL007 shm-discipline
-# --------------------------------------------------------------------- #
-
-
-def test_rl007_flags_raw_shared_memory_call():
-    result = run(
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def publish(array):
-            segment = SharedMemory(create=True, size=array.nbytes)
-            return segment.name
-        """,
-        module="repro.scale.rogue",
-    )
-    # Both the import and the raw construction fire.
-    assert codes(result) == ["RL007", "RL007"]
-
-
-def test_rl007_flags_dotted_and_aliased_construction():
-    result = run(
-        """
-        import multiprocessing.shared_memory as shm_mod
-
-        def attach(name):
-            return shm_mod.SharedMemory(name=name)
-        """,
-        module="repro.core.rogue",
-    )
-    assert codes(result) == ["RL007", "RL007"]
-
-
-def test_rl007_allows_owning_module():
-    result = run(
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def _open_untracked(name):
-            return SharedMemory(name=name, track=False)
-        """,
-        module="repro.core.shm",
-    )
-    assert codes(result) == []
-
-
-def test_rl007_allows_manager_call_sites():
-    result = run(
-        """
-        from repro.core.shm import PlaneManager, attach_plane
-
-        def publish(instance):
-            with PlaneManager() as manager:
-                handles = instance.share_planes(manager)
-            return handles
-        """,
-        module="repro.scale.sharded",
-    )
-    assert codes(result) == []
-
-
-def test_rl007_silent_outside_repro():
-    result = run(
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def scratch():
-            return SharedMemory(create=True, size=8)
-        """,
-        module="scripts.scratchpad",
-    )
-    assert codes(result) == []
-
-
-# --------------------------------------------------------------------- #
 # Rule registry and option plumbing
 # --------------------------------------------------------------------- #
 
@@ -533,15 +459,15 @@ def test_rl008_flags_row_free_serving_rewrites():
         """,
         module="repro.scale.rogue",
     )
-    # The inline suppression mechanism silences it, as at the two
-    # real dense-oracle branches (model.share_planes, partition).
+    # The inline suppression mechanism silences it, as at the one
+    # real dense-oracle branch (partition.reachable_matrix).
     assert codes(result) == []
 
 
 def test_all_rules_registered():
     assert sorted(RULES) == [
-        "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-        "RL008", "RL009", "RL010", "RL011",
+        "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL008",
+        "RL009", "RL010", "RL011",
     ]
 
 

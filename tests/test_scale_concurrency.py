@@ -8,21 +8,15 @@ replaying its own applied-operation log.  Run in CI both plain and with
 ``REPRO_SHADOW_CHECKS=1`` (every mutation shadow-audited).
 """
 
-import multiprocessing
-import os
 import threading
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.core.iep.operations import BudgetChange, EtaIncrease, XiDecrease
 from repro.core.plan import PlanSummary
-from repro.core.shm import leaked_segments
 from repro.datasets import MeetupConfig, generate_ebsn
 from repro.platform import EBSNPlatform
-from repro.scale import BatchedPlatform, ShardedSolver
-from repro.scale import sharded as sharded_module
-from repro.scale.sharded import SHM_ENV_VAR
+from repro.scale import BatchedPlatform
 
 N_WRITERS = 4
 N_READERS = 2
@@ -164,71 +158,3 @@ def test_interleaved_enqueue_during_flush(instance):
     assert stats["applied"] + stats["rejected"] + stats["folded"] == 90
     assert batched.snapshot()["violations"] == 0
 
-
-# --------------------------------------------------------------------- #
-# Shared-memory dispatch: leak discipline and worker-death recovery
-# --------------------------------------------------------------------- #
-
-
-def _boom(payload):
-    """Worker entry that dies without cleanup (not even atexit runs)."""
-    os._exit(13)
-
-
-@pytest.fixture()
-def sharded_instance():
-    return generate_ebsn(MeetupConfig(n_users=60, n_events=12, seed=7))
-
-
-def test_parallel_solve_leaves_no_shm_segments(sharded_instance):
-    reference = ShardedSolver(shards=3, workers=1, seed=0).solve(
-        sharded_instance
-    )
-    with ShardedSolver(shards=3, workers=2, seed=0) as solver:
-        solution = solver.solve(sharded_instance)
-        assert leaked_segments() == []
-        # A second solve through the same (cached) pool and partition
-        # must not accumulate segments either.
-        again = solver.solve(sharded_instance)
-    assert leaked_segments() == []
-    assert PlanSummary.of(solution.plan) == PlanSummary.of(reference.plan)
-    assert PlanSummary.of(again.plan) == PlanSummary.of(reference.plan)
-
-
-def test_shm_disabled_fallback_is_bit_identical(sharded_instance, monkeypatch):
-    monkeypatch.setenv(SHM_ENV_VAR, "0")
-    with ShardedSolver(shards=3, workers=2, seed=0) as solver:
-        fallback = solver.solve(sharded_instance)
-    monkeypatch.delenv(SHM_ENV_VAR)
-    with ShardedSolver(shards=3, workers=2, seed=0) as solver:
-        shm = solver.solve(sharded_instance)
-    assert PlanSummary.of(fallback.plan) == PlanSummary.of(shm.plan)
-    assert fallback.cancelled == shm.cancelled
-    assert leaked_segments() == []
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="worker-death recovery test relies on fork workers",
-)
-def test_worker_death_cleans_segments_and_pool_recovers(
-    sharded_instance, monkeypatch
-):
-    """A worker dying mid-solve must not leak /dev/shm segments, must
-    surface BrokenProcessPool, and must not poison later solves."""
-    reference = ShardedSolver(shards=3, workers=1, seed=0).solve(
-        sharded_instance
-    )
-    with ShardedSolver(shards=3, workers=2, seed=0) as solver:
-        monkeypatch.setattr(sharded_module, "_solve_shard_shm", _boom)
-        with pytest.raises(BrokenProcessPool):
-            solver.solve(sharded_instance)
-        # Segment teardown ran in the finally: nothing leaked even
-        # though the attaching workers died without cleanup.
-        assert leaked_segments() == []
-        # The broken pool was discarded, not kept to poison this solve.
-        assert solver._pool is None
-        monkeypatch.undo()
-        recovered = solver.solve(sharded_instance)
-    assert PlanSummary.of(recovered.plan) == PlanSummary.of(reference.plan)
-    assert leaked_segments() == []

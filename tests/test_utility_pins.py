@@ -10,6 +10,7 @@ import pytest
 from repro.core.gepc import GAPBasedSolver, GreedySolver
 from repro.datasets import make_city
 from repro.platform import EBSNPlatform, OperationStream
+from repro.scale import ShardedSolver
 
 RTOL = 1e-6
 
@@ -44,6 +45,11 @@ def _mixed_stream(city, scale, operations, seed=0):
             lambda: _solve(GreedySolver(seed=0), "beijing", 0.5),
             71.476996379836,
             id="greedy-beijing-0.5",
+        ),
+        pytest.param(
+            lambda: _solve(ShardedSolver(shards=4, seed=0), "beijing", 0.5),
+            70.8035129879316,
+            id="sharded-4-beijing-0.5",
         ),
         pytest.param(
             lambda: _solve(GAPBasedSolver(), "beijing", 0.5),
