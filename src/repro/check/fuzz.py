@@ -63,7 +63,6 @@ from repro.datasets.meetup import MeetupConfig, generate_ebsn
 from repro.obs import get_recorder
 from repro.platform.durable import (
     CRASH_POINTS,
-    REJECTION_ERRORS,
     CrashInjector,
     DurablePlatform,
     InjectedCrash,
@@ -71,7 +70,7 @@ from repro.platform.durable import (
     RecoveryReport,
 )
 from repro.platform.oplog import operation_to_dict
-from repro.platform.service import EBSNPlatform
+from repro.platform.service import REJECTION_ERRORS, EBSNPlatform
 from repro.platform.stream import OperationStream
 from repro.service.client import ServiceClient, WebSocketClient
 from repro.service.server import ServiceThread

@@ -375,8 +375,9 @@ def _add_trace_arguments(sub: argparse.ArgumentParser) -> None:
         choices=("dense", "tiled"),
         default=None,
         help="distance backend: dense plane (default/oracle) or "
-        "coordinate-resident tiles (value-identical; see "
-        "docs/memory.md).  Overrides REPRO_DISTANCE.",
+        "distances computed on demand from resident coordinates "
+        "(value-identical; see docs/memory.md).  Overrides "
+        "REPRO_DISTANCE.",
     )
     sub.add_argument(
         "--trace",

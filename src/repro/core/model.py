@@ -204,7 +204,8 @@ class Instance:
         The backend is chosen at build time by ``REPRO_DISTANCE``:
         ``dense`` (the default and the bit-exactness oracle) materialises
         the full plane; ``tiled`` keeps only coordinates resident and
-        serves tiles on demand — value-identical on every served pair.
+        computes each distance on demand — value-identical on every
+        served pair.
         """
         if self._distances is None:
             if active_distance_backend() == "tiled":

@@ -109,9 +109,9 @@ class DistanceMatrix:
         """Distance rows for a batch of users (fresh float64 block).
 
         The backend-portable bulk accessor: dense gathers with one fancy
-        index; the tiled backend assembles the same block from cached
-        tiles.  Callers iterating very large user sets should chunk so the
-        output block stays bounded.
+        index; the tiled backend computes the same block from resident
+        coordinates.  Callers iterating very large user sets should chunk
+        so the output block stays bounded.
         """
         ids = np.asarray(users, dtype=np.intp).reshape(-1)
         return self._user_event[ids]

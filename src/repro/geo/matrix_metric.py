@@ -73,25 +73,19 @@ class MatrixMetric:
     def cross(
         self, left: Sequence[Point], right: Sequence[Point]
     ) -> np.ndarray:
-        if not left or not right:
-            return np.zeros((len(left), len(right)))
-        rows = [int(p.x) for p in left]
-        cols = [int(p.x) for p in right]
-        if all(p.y == USER_SIDE for p in left) and all(
-            p.y == EVENT_SIDE for p in right
-        ):
-            return self._user_event[np.ix_(rows, cols)].copy()
-        raise ValueError(
-            "cross expects user points on the left and event points on the "
-            "right"
+        # Delegates like the geometric metrics do, so event-by-event
+        # blocks (a moved or appended venue's column) work here too.
+        return self.cross_coords(
+            np.array([(p.x, p.y) for p in left], dtype=float),
+            np.array([(p.x, p.y) for p in right], dtype=float),
         )
 
     def cross_coords(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Array-coded lookup: rows of ``(index, side)`` pairs.
 
-        Mirrors :meth:`cross` for the tiled backend's raw-coordinate
-        serving path; additionally supports event-by-event blocks (the
-        tiled backend builds its event-event plane through this hook).
+        User-by-event blocks serve user-event distances; event-by-event
+        blocks serve the event-event plane and a moved or appended
+        venue's column.
         """
         a = np.asarray(a, dtype=float).reshape(-1, 2)
         b = np.asarray(b, dtype=float).reshape(-1, 2)

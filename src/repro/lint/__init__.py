@@ -16,7 +16,7 @@ RL003     lock-discipline            guarded-by attrs accessed under lock
 RL004     leaked-mutable-array       public APIs freeze/copy cache ndarrays
 RL005     determinism                seeded RNGs; no set-order loops
 RL006     obs-coverage               entry points open a repro.obs span
-RL008     dense-materialisation      no dense planes outside the backend
+RL008     dense-materialisation      no dense planes outside repro.geo
 RL009     async-blocking-discipline  no blocking call paths from async defs
 RL010     lock-order-discipline      acyclic global lock-acquisition order
 RL011     guarded-by-escape          RL003 + loop confinement, cross-function

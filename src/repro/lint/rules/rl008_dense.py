@@ -1,18 +1,20 @@
 """RL008 dense-materialisation-discipline: no full distance planes.
 
-The tiled distance backend (``repro.core.tiles``) exists so that peak
-memory follows the solver's working set instead of the instance size;
-its ``user_event_matrix`` property deliberately raises.  Any call site
-that reads the full ``O(n_users x n_events)`` plane — directly or by
+The tiled distance backend (``repro.core.tiles``) keeps only user and
+event coordinates resident and computes distances on demand, so memory
+follows the number of users plus events, not their product; its
+``user_event_matrix`` property deliberately raises.  Any call site that
+reads the full ``O(n_users x n_events)`` plane — directly or by
 multiplying it into a derived plane — reintroduces the memory wall the
 backend removes, and breaks outright under ``REPRO_DISTANCE=tiled``.
 
 The rule flags any ``<expr>.user_event_matrix`` attribute access outside
 the geometry layer (``repro.geo``, which *owns* dense planes — the dense
-backend is the bit-exactness oracle) and the tiled backend itself
-(whose property implements the raise).  Sites that are provably on a
-dense-only branch (an oracle comparison, a dense-baseline bench) carry
-an inline ``# repro-lint: ignore[RL008] <reason>`` suppression instead.
+backend is the bit-exactness oracle).  The tiled backend only *defines*
+the raising property, which is not an attribute access, so it needs no
+exemption.  Sites that are provably on a dense-only branch (an oracle
+comparison, a dense-baseline bench) carry an inline
+``# repro-lint: ignore[RL008] <reason>`` suppression instead.
 
 ``event_event_matrix`` is *not* flagged: events number thousands where
 users number millions, so the ``O(m^2)`` block is not the memory wall
@@ -43,7 +45,7 @@ class DenseMaterialisationDiscipline(Rule):
     )
     default_options = {
         "modules": ["repro"],
-        "allow_modules": ["repro.geo", "repro.core.tiles"],
+        "allow_modules": ["repro.geo"],
     }
 
     def check(self, context: ModuleContext) -> list[Finding]:

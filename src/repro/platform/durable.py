@@ -40,7 +40,11 @@ from repro.core.model import Instance
 from repro.core.plan import GlobalPlan
 from repro.obs import get_recorder
 from repro.platform.oplog import WriteAheadLog, recover_wal
-from repro.platform.service import EBSNPlatform, PlatformLogEntry
+from repro.platform.service import (
+    REJECTION_ERRORS,
+    EBSNPlatform,
+    PlatformLogEntry,
+)
 from repro.platform.snapshot import latest_snapshot, save_snapshot
 
 WAL_FILENAME = "wal.jsonl"
@@ -52,11 +56,6 @@ CRASH_WAL_APPEND = "wal-append"
 CRASH_APPLY = "apply"
 CRASH_SNAPSHOT = "snapshot"
 CRASH_POINTS = (CRASH_WAL_APPEND, CRASH_APPLY, CRASH_SNAPSHOT)
-
-# Exception types the engine raises for operations it refuses to apply
-# (validate() raises IndexError/ValueError for out-of-range ids and
-# malformed bounds; repairs raise ValueError on infeasible targets).
-REJECTION_ERRORS = (ValueError, IndexError, KeyError)
 
 
 class InjectedCrash(RuntimeError):

@@ -20,6 +20,11 @@ from repro.core.model import Instance
 from repro.core.plan import GlobalPlan
 from repro.obs import Recorder, get_recorder
 
+# Exception types the engine raises for operations it refuses to apply
+# (validate() raises IndexError/ValueError for out-of-range ids and
+# malformed bounds; repairs raise ValueError on infeasible targets).
+REJECTION_ERRORS = (ValueError, IndexError, KeyError)
+
 
 @dataclass(frozen=True)
 class PlatformLogEntry:
@@ -156,7 +161,7 @@ class EBSNPlatform:
                 result = self._engine.apply(
                     self._instance, self.plan, operation
                 )
-        except (ValueError, IndexError, KeyError):
+        except REJECTION_ERRORS:
             self._rejected += 1
             obs.count("platform.rejected")
             raise

@@ -48,7 +48,11 @@ from repro.core.iep.operations import (
 from repro.core.model import Instance
 from repro.core.plan import GlobalPlan
 from repro.obs import get_recorder
-from repro.platform.service import EBSNPlatform, PlatformLogEntry
+from repro.platform.service import (
+    REJECTION_ERRORS,
+    EBSNPlatform,
+    PlatformLogEntry,
+)
 
 
 def coalesce_operations(
@@ -361,7 +365,7 @@ class BatchedPlatform:
             for operation in operations:
                 try:
                     entry = self._platform.submit(operation)
-                except (ValueError, IndexError, KeyError) as exc:
+                except REJECTION_ERRORS as exc:
                     # Stale or malformed against the batch's evolving
                     # instance (validate() raises IndexError for ids past
                     # the current event/user range).

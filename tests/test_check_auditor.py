@@ -168,13 +168,11 @@ class TestCorruptionDetection:
         d = instance.distances
         if instance.distance_backend == "tiled":
             # No dense plane exists to poke under the tiled backend:
-            # skew the cached user coordinate instead (and drop the
-            # covering tiles) so every served distance drifts.
+            # skew the resident user coordinate instead so every served
+            # distance drifts.
             d._user_coords[0, 0] += 1.0
-            d._invalidate(user_tile=0)
-            undo = lambda: (  # noqa: E731
-                d._user_coords.__setitem__((0, 0), d._user_coords[0, 0] - 1.0),
-                d._invalidate(user_tile=0),
+            undo = lambda: d._user_coords.__setitem__(  # noqa: E731
+                (0, 0), d._user_coords[0, 0] - 1.0
             )
         else:
             matrix = d.user_event_matrix

@@ -447,7 +447,16 @@ def test_rl008_allows_geometry_layer_and_tiles():
             return dense.user_event_matrix
         """
     assert codes(run(snippet, module="repro.geo.distance")) == []
-    assert codes(run(snippet, module="repro.core.tiles")) == []
+    # The tiled backend only *defines* the raising property; reading a
+    # plane there is flagged like anywhere else outside repro.geo.
+    definition = """
+        class TiledDistanceMatrix:
+            @property
+            def user_event_matrix(self):
+                raise RuntimeError("no dense plane")
+        """
+    assert codes(run(definition, module="repro.core.tiles")) == []
+    assert codes(run(snippet, module="repro.core.tiles")) == ["RL008"]
 
 
 def test_rl008_flags_row_free_serving_rewrites():

@@ -1,35 +1,66 @@
-"""Tiled distance backend: value identity, LRU accounting, pruning.
+"""Tiled distance backend: value identity, accounting, pruning.
 
 The contract under test (see ``src/repro/core/tiles.py``): with
 ``REPRO_DISTANCE=tiled`` every *served* value — scalar, row, batch,
-event-event, through every instance transform — is bit-identical to the
-dense oracle, while the full user-event plane is never materialised.
-The spatial candidate index must prune *soundly*: exactly the pairs the
-kernel's own budget test would reject, nothing more.
+event-event, through every instance transform and under every travel
+metric — is bit-identical to the dense oracle, while the full user-event
+plane is never materialised.  The spatial candidate index must prune
+*soundly*: exactly the pairs the kernel's own budget test would reject,
+nothing more.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.costs import CostModel
 from repro.core.model import Event, Instance
 from repro.core.tiles import TiledDistanceMatrix, use_distance_backend
 from repro.core.tolerances import BUDGET_TOL
 from repro.geo.grid import SpatialCandidateIndex
-from repro.geo.metrics import EUCLIDEAN
+from repro.geo.matrix_metric import MatrixMetric, event_point, user_point
+from repro.geo.metrics import EUCLIDEAN, MANHATTAN
 from repro.geo.point import Point
 from repro.timeline.interval import Interval
 from tests.conftest import random_instance, served_user_event_plane
 
 
-def _twin_instances(seed: int, **kwargs) -> tuple[Instance, Instance]:
+def _with_metric(base: Instance, metric: str, seed: int) -> Instance:
+    """``base`` under the named travel metric.
+
+    The matrix metric needs index-coded locations, so its users and
+    events move to coded points and the distances come from random
+    matrices (event-event symmetric with a zero diagonal).
+    """
+    if metric == "euclidean":
+        return base
+    if metric == "manhattan":
+        return Instance(
+            base.users, base.events, base.utility, CostModel(metric=MANHATTAN)
+        )
+    rng = np.random.default_rng(seed)
+    user_event = rng.uniform(0.0, 10.0, (base.n_users, base.n_events))
+    upper = np.triu(rng.uniform(0.0, 10.0, (base.n_events,) * 2), 1)
+    return Instance(
+        [replace(u, location=user_point(u.id)) for u in base.users],
+        [replace(e, location=event_point(e.id)) for e in base.events],
+        base.utility,
+        CostModel(metric=MatrixMetric(user_event, upper + upper.T)),
+    )
+
+
+def _twin_instances(
+    seed: int, metric: str = "euclidean", **kwargs
+) -> tuple[Instance, Instance]:
     """The same workload built under the dense and tiled backends."""
     with use_distance_backend("dense"):
-        dense = random_instance(seed, **kwargs)
+        dense = _with_metric(random_instance(seed, **kwargs), metric, seed)
         dense.distances  # force the backend choice now
     with use_distance_backend("tiled"):
-        tiled = random_instance(seed, **kwargs)
+        tiled = _with_metric(random_instance(seed, **kwargs), metric, seed)
         tiled.distances
     return dense, tiled
 
@@ -55,16 +86,35 @@ def _assert_identical_serving(dense: Instance, tiled: Instance) -> None:
 # --------------------------------------------------------------------- #
 
 
+def _moved(metric: str, kind: str) -> Point:
+    """A location for a transform to move to, valid under ``metric``.
+
+    The matrix metric only knows its coded points, so a moved venue takes
+    another event's code and a moved home another user's.
+    """
+    if metric == "matrix":
+        return {
+            "event": event_point(0),
+            "user": user_point(3),
+            "new": event_point(1),
+        }[kind]
+    return {
+        "event": Point(99.0, -3.5),
+        "user": Point(-7.0, 42.0),
+        "new": Point(4.5, 4.5),
+    }[kind]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
-def test_tiled_serves_bit_identical_to_dense(seed):
-    dense, tiled = _twin_instances(seed, n_users=23, n_events=6)
+def test_tiled_serves_bit_identical_to_dense(seed, metric="euclidean"):
+    dense, tiled = _twin_instances(seed, metric, n_users=23, n_events=6)
     assert isinstance(tiled.distances, TiledDistanceMatrix)
     _assert_identical_serving(dense, tiled)
 
 
 @pytest.mark.parametrize("seed", [3, 11])
-def test_tiled_identity_survives_subinstance(seed):
-    dense, tiled = _twin_instances(seed, n_users=23, n_events=6)
+def test_tiled_identity_survives_subinstance(seed, metric="euclidean"):
+    dense, tiled = _twin_instances(seed, metric, n_users=23, n_events=6)
     users = [0, 2, 5, 9, 17, 22]
     events = [1, 3, 4]
     _assert_identical_serving(
@@ -72,27 +122,29 @@ def test_tiled_identity_survives_subinstance(seed):
     )
 
 
-def test_tiled_identity_survives_with_event_relocation():
-    dense, tiled = _twin_instances(5, n_users=17, n_events=5)
-    moved = Point(99.0, -3.5)
+def test_tiled_identity_survives_with_event_relocation(metric="euclidean"):
+    dense, tiled = _twin_instances(5, metric, n_users=17, n_events=5)
+    moved = _moved(metric, "event")
     _assert_identical_serving(
         dense.with_event(2, location=moved),
         tiled.with_event(2, location=moved),
     )
 
 
-def test_tiled_identity_survives_with_user_relocation_and_budget():
-    dense, tiled = _twin_instances(6, n_users=17, n_events=5)
-    moved = Point(-7.0, 42.0)
+def test_tiled_identity_survives_with_user_relocation_and_budget(
+    metric="euclidean",
+):
+    dense, tiled = _twin_instances(6, metric, n_users=17, n_events=5)
+    moved = _moved(metric, "user")
     _assert_identical_serving(
         dense.with_user(4, location=moved, budget=99.0),
         tiled.with_user(4, location=moved, budget=99.0),
     )
 
 
-def test_tiled_identity_survives_with_new_event():
-    dense, tiled = _twin_instances(8, n_users=17, n_events=5)
-    new = Event(5, Point(4.5, 4.5), 0, 3, Interval(50.0, 51.0))
+def test_tiled_identity_survives_with_new_event(metric="euclidean"):
+    dense, tiled = _twin_instances(8, metric, n_users=17, n_events=5)
+    new = Event(5, _moved(metric, "new"), 0, 3, Interval(50.0, 51.0))
     utilities = np.linspace(0.0, 1.0, dense.n_users)
     _assert_identical_serving(
         dense.with_new_event(new, utilities),
@@ -100,19 +152,18 @@ def test_tiled_identity_survives_with_new_event():
     )
 
 
-def test_float32_tiles_serve_rounded_dense_values():
-    rng = np.random.default_rng(2)
-    uc = rng.uniform(0, 30, (40, 2))
-    ec = rng.uniform(0, 30, (7, 2))
-    dense = EUCLIDEAN.cross_coords(uc, ec)
-    expected = dense.astype(np.float32).astype(np.float64)
-    tiled = TiledDistanceMatrix(
-        uc, ec, EUCLIDEAN, tile_users=8, tile_events=4, dtype=np.float32
-    )
-    assert np.array_equal(tiled.user_event_rows(np.arange(40)), expected)
-    # Scalar and single-row paths round through the same dtype.
-    assert tiled.user_event(33, 2) == expected[33, 2]
-    assert np.array_equal(tiled.user_event_row(11), expected[11])
+@pytest.mark.parametrize("metric", ["manhattan", "matrix"])
+def test_every_metric_serves_bit_identical(metric):
+    # The twin tests above run the paper's Euclidean metric; this runs
+    # each of them under the other two.  Serving goes through each
+    # metric's own scalar_coords/cross_coords, so each needs cover.
+    for seed in (0, 1, 7):
+        test_tiled_serves_bit_identical_to_dense(seed, metric)
+    for seed in (3, 11):
+        test_tiled_identity_survives_subinstance(seed, metric)
+    test_tiled_identity_survives_with_event_relocation(metric)
+    test_tiled_identity_survives_with_user_relocation_and_budget(metric)
+    test_tiled_identity_survives_with_new_event(metric)
 
 
 def test_submatrix_accepts_plain_python_id_lists():
@@ -127,12 +178,12 @@ def test_submatrix_accepts_plain_python_id_lists():
     )
 
 
-def test_location_patch_invalidates_covering_tiles():
+def test_location_patch_serves_moved_coordinates():
     rng = np.random.default_rng(9)
     uc = rng.uniform(0, 10, (16, 2))
     ec = rng.uniform(0, 10, (5, 2))
-    t = TiledDistanceMatrix(uc, ec, EUCLIDEAN, tile_users=4, tile_events=2)
-    t.user_event_rows(np.arange(16))  # materialise everything
+    t = TiledDistanceMatrix(uc, ec, EUCLIDEAN)
+    t.event_event_matrix  # build the lazy block the event patch must drop
     moved_user = np.array([[55.0, 55.0]])
     t.replace_user_location(0, Point(55.0, 55.0), [])
     uc2 = uc.copy()
@@ -154,98 +205,25 @@ def test_location_patch_invalidates_covering_tiles():
 
 
 # --------------------------------------------------------------------- #
-# LRU accounting and serving-path discipline
+# Accounting the benchmark reads
 # --------------------------------------------------------------------- #
 
 
-def test_lru_evicts_down_to_budget_and_counts():
-    rng = np.random.default_rng(1)
-    uc = rng.uniform(0, 10, (64, 2))
-    ec = rng.uniform(0, 10, (8, 2))
-    tile_bytes = 8 * 4 * 8  # 8 users x 4 events x float64
-    t = TiledDistanceMatrix(
-        uc,
-        ec,
-        EUCLIDEAN,
-        tile_users=8,
-        tile_events=4,
-        cache_mib=4 * tile_bytes / (1 << 20),  # room for 4 tiles
-    )
-    t.user_event_rows(np.arange(64))  # dense sweep: 16 tile builds
-    stats = t.tile_stats()
-    assert stats["misses"] == 16.0
-    assert stats["evictions"] >= 12.0
-    assert stats["tiles_resident"] <= 4.0
-    assert stats["resident_mib"] <= 4 * tile_bytes / (1 << 20) + 1e-12
-    assert stats["peak_resident_mib"] >= stats["resident_mib"]
-    assert stats["peak_backend_mib"] > stats["peak_resident_mib"]
-    # Values survive eviction: recompute equals a fresh dense block.
-    assert np.array_equal(
-        t.user_event_rows(np.arange(64)), EUCLIDEAN.cross_coords(uc, ec)
-    )
-
-
-def test_single_tile_larger_than_budget_stays_resident():
-    rng = np.random.default_rng(3)
-    uc = rng.uniform(0, 10, (32, 2))
-    ec = rng.uniform(0, 10, (4, 2))
-    t = TiledDistanceMatrix(
-        uc, ec, EUCLIDEAN, tile_users=32, tile_events=4, cache_mib=1e-6
-    )
-    t.user_event_rows(np.arange(32))
-    assert t.tile_stats()["tiles_resident"] == 1.0
-
-
-def test_scattered_scalars_and_rows_do_not_materialise_tiles():
+def test_tile_stats_keeps_the_benchmark_keys():
+    # perfbench's scale-100k workload reads these three keys; a missing
+    # one fails the benchmark run with a KeyError.
     rng = np.random.default_rng(4)
-    uc = rng.uniform(0, 10, (64, 2))
-    ec = rng.uniform(0, 10, (8, 2))
-    # Cache smaller than the plane: the soak-scale regime, where
-    # scattered probes must never build tiles.
     t = TiledDistanceMatrix(
-        uc,
-        ec,
-        EUCLIDEAN,
-        tile_users=8,
-        tile_events=4,
-        cache_mib=2 * 8 * 4 * 8 / (1 << 20),  # room for 2 of 16 tiles
+        rng.uniform(0, 10, (64, 2)), rng.uniform(0, 10, (8, 2)), EUCLIDEAN
     )
-    dense = EUCLIDEAN.cross_coords(uc, ec)
-    for user in (0, 17, 45, 63):
-        assert t.user_event(user, 5) == dense[user, 5]
-        assert np.array_equal(t.user_event_row(user), dense[user])
-    sparse = np.array([2, 19, 40], dtype=np.intp)
-    assert np.array_equal(t.user_event_rows(sparse), dense[sparse])
     stats = t.tile_stats()
-    assert stats["tiles_resident"] == 0.0
-    assert stats["misses"] == 0.0
-    assert stats["scalar_serves"] == 4.0
-    assert stats["row_serves"] > 0.0
-
-
-def test_plane_fits_cache_promotes_serving_to_tile_builds():
-    rng = np.random.default_rng(4)
-    uc = rng.uniform(0, 10, (64, 2))
-    ec = rng.uniform(0, 10, (8, 2))
-    # Default cache (64 MiB) dwarfs the 4 KiB plane: every serving path
-    # builds tiles, residency is bounded by the plane, and repeated
-    # probes become hits instead of recomputes.
-    t = TiledDistanceMatrix(uc, ec, EUCLIDEAN, tile_users=8, tile_events=4)
-    dense = EUCLIDEAN.cross_coords(uc, ec)
-    for user in (0, 17, 45, 63):
-        assert t.user_event(user, 5) == dense[user, 5]
-        assert np.array_equal(t.user_event_row(user), dense[user])
-    sparse = np.array([2, 19, 40], dtype=np.intp)
-    assert np.array_equal(t.user_event_rows(sparse), dense[sparse])
-    stats = t.tile_stats()
-    assert stats["row_serves"] == 0.0
-    assert stats["scalar_serves"] == 0.0
-    assert stats["evictions"] == 0.0
-    assert 0 < stats["tiles_resident"] <= 16.0
-    # A repeated row is now pure hits.
-    before = t.tile_stats()["misses"]
-    assert np.array_equal(t.user_event_row(17), dense[17])
-    assert t.tile_stats()["misses"] == before
+    assert set(stats) == {"hits", "misses", "peak_backend_mib"}
+    assert stats["hits"] == stats["misses"] == 0.0
+    block = t.event_event_matrix
+    expected = (
+        t.user_coords.nbytes + t.event_coords.nbytes + block.nbytes
+    ) / 2**20
+    assert t.tile_stats()["peak_backend_mib"] == expected
 
 
 def test_dense_plane_property_raises_under_tiled():
