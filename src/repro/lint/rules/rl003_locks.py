@@ -8,8 +8,8 @@ and from then on every ``self._pending`` access anywhere in the class must
 sit inside ``with self._queue_lock:`` (any enclosing ``with`` on the named
 lock counts, so nested lock scopes work).  ``__init__``/``__del__`` are
 exempt — no second thread can hold the object yet/any more.  This encodes
-the locking contract of ``BatchedPlatform``/``TenantManager`` that the
-concurrency tests can only probe, not prove.
+the locking contract of ``BatchedPlatform`` that the concurrency tests
+can only probe, not prove.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ Two recorder implementations share one duck-typed API:
   value, and spans aggregate wall-clock time (monotonic ``perf_counter``)
   per *path*: nested spans produce slash-joined keys (``solve/fill``), so
   one aggregate entry exists per unique call-stack position, with call
-  counts and total seconds.
+  counts and total seconds.  The open-span path lives in a
+  :class:`contextvars.ContextVar`, so each asyncio task and each thread
+  nests only its own spans.
 * :class:`NullRecorder` — the default.  Every method is a no-op and
   ``span()`` returns one shared, reusable context manager, so instrumented
   hot loops pay only an attribute call when tracing is off.
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from contextvars import ContextVar
+from contextvars import ContextVar, Token
 from dataclasses import dataclass
 
 
@@ -83,22 +85,24 @@ NULL_RECORDER = NullRecorder()
 class _Span:
     """One live span: times itself and aggregates into the recorder."""
 
-    __slots__ = ("_recorder", "_name", "_start", "elapsed")
+    __slots__ = ("_recorder", "_name", "_start", "_token", "elapsed")
 
     def __init__(self, recorder: "Recorder", name: str) -> None:
         self._recorder = recorder
         self._name = name
         self._start = 0.0
+        self._token: Token | None = None
         self.elapsed = 0.0
 
     def __enter__(self) -> "_Span":
-        self._recorder._push(self._name)
+        self._token = self._recorder._push(self._name)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> bool:
         self.elapsed = time.perf_counter() - self._start
-        self._recorder._pop(self.elapsed)
+        assert self._token is not None
+        self._recorder._pop(self._token, self.elapsed)
         return False
 
 
@@ -111,7 +115,11 @@ class Recorder:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self.span_stats: dict[str, SpanStats] = {}
-        self._stack: list[str] = []
+        # The open spans of the current task or thread: each asyncio
+        # task and each thread nests only its own spans.
+        self._path: ContextVar[tuple[str, ...]] = ContextVar(
+            "repro_obs_span_path", default=()
+        )
 
     # ------------------------------------------------------------------ #
     # Recording API (shared with NullRecorder)
@@ -136,12 +144,12 @@ class Recorder:
     # Span bookkeeping
     # ------------------------------------------------------------------ #
 
-    def _push(self, name: str) -> None:
-        self._stack.append(name)
+    def _push(self, name: str) -> Token:
+        return self._path.set(self._path.get() + (name,))
 
-    def _pop(self, elapsed: float) -> None:
-        path = "/".join(self._stack)
-        self._stack.pop()
+    def _pop(self, token: Token, elapsed: float) -> None:
+        path = "/".join(self._path.get())
+        self._path.reset(token)
         stats = self.span_stats.get(path)
         if stats is None:
             stats = self.span_stats[path] = SpanStats()
@@ -151,7 +159,7 @@ class Recorder:
     @property
     def current_path(self) -> str:
         """The slash-joined path of the innermost open span ('' at top)."""
-        return "/".join(self._stack)
+        return "/".join(self._path.get())
 
     # ------------------------------------------------------------------ #
     # Snapshots

@@ -14,11 +14,11 @@ Layers (each importable on its own):
   codes, the operation codec shared with the WAL.
 * :mod:`repro.service.tenants` — tenant specs, single-writer workers
   with backpressure, startup recovery via ``DurablePlatform.recover``.
-* :mod:`repro.service.app` — the transport-neutral dispatcher, exposed
-  as a thin ASGI 3 application.
-* :mod:`repro.service.server` — the bundled stdlib asyncio HTTP +
-  WebSocket host (``repro-gepc serve``), plus :class:`ServiceThread`
-  for in-process use.
+* :mod:`repro.service.app` — the transport-neutral frame dispatcher.
+* :mod:`repro.service.server` — the stdlib asyncio HTTP + WebSocket
+  server that routes requests and messages to the dispatcher
+  (``repro-gepc serve``), plus :class:`ServiceThread` for in-process
+  use.
 * :mod:`repro.service.client` — blocking HTTP/WebSocket clients used by
   the tests, the service fuzzer, and the bench harness.
 """

@@ -1,20 +1,27 @@
-"""The bundled asyncio server: HTTP/1.1 + WebSocket over one port.
+"""The asyncio server: HTTP/1.1 + WebSocket over one port.
 
 A deliberately small stdlib-only host for :class:`~repro.service.app
-.PlanningApp`: each accepted connection is parsed just far enough to
-build an ASGI scope (``http`` with keep-alive, or ``websocket`` after an
-RFC 6455 upgrade) and handed to the app.  Because the app speaks plain
-ASGI, this server is replaceable by uvicorn/hypercorn in deployments
-that have them — see ``docs/service.md`` — while tests, benches, and CI
-run on this one with zero dependencies.
+.PlanningApp`.  Each accepted connection is parsed just far enough to
+route it: HTTP requests (with keep-alive) by method and path, and
+WebSocket messages after an RFC 6455 upgrade, one protocol frame each::
 
-Two entry points:
+    GET  /healthz      liveness, tenant count, closing flag (no envelope)
+    GET  /v1/tenants   alias for the "tenants" action
+    POST /v1/rpc       one protocol frame per request body
+    WS   /v1/stream    one protocol frame per message, pipelined
+
+Any other path answers 404 ``not-found``, any other method 400
+``bad-request``, both as error frames; a WebSocket upgrade to another
+path gets the same 404.  A malformed request head or ``content-length``
+gets a plain 400 and the connection closes.
+
+Two entry points share one serve coroutine:
 
 * :func:`run_service` — the blocking ``repro-gepc serve`` body: recover
   tenants, bind, print the readiness line, serve until SIGTERM/SIGINT,
   then shut down gracefully (drain workers, flush batches, seal WALs).
 * :class:`ServiceThread` — an in-process server on a background thread
-  for tests, the fuzzer, and the bench harness.
+  for tests and the fuzzer.
 """
 
 from __future__ import annotations
@@ -24,20 +31,27 @@ import json
 import signal
 import sys
 import threading
+from concurrent import futures
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.obs import get_recorder
 from repro.service import ws
 from repro.service.app import PlanningApp
-from repro.service.protocol import MAX_FRAME_BYTES
+from repro.service.protocol import (
+    E_BAD_REQUEST,
+    E_NOT_FOUND,
+    MAX_FRAME_BYTES,
+    ProtocolError,
+    error_frame,
+)
 from repro.service.tenants import TenantManager
 
 #: Cap on the request head (request line + headers).
 MAX_HEAD_BYTES = 64 * 1024
 
 _REASONS = {
-    200: "OK", 400: "Bad Request", 403: "Forbidden", 404: "Not Found",
+    200: "OK", 400: "Bad Request", 404: "Not Found",
     409: "Conflict", 413: "Payload Too Large", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -77,19 +91,44 @@ async def _read_head(
     return method, target, headers
 
 
-def _plain_response(status: int, message: str) -> bytes:
-    body = json.dumps({"ok": False, "error": message}).encode()
-    reason = _REASONS.get(status, "Error")
+#: The frame ``GET /v1/tenants`` dispatches.
+_TENANTS_FRAME = json.dumps({"v": 1, "id": None, "action": "tenants"})
+
+
+def _response(
+    status: int, payload: dict[str, Any], keep_alive: bool = False
+) -> bytes:
+    body = json.dumps(payload).encode("utf-8")
+    reason = _REASONS.get(status, "Status")
+    connection = "keep-alive" if keep_alive else "close"
     return (
         f"HTTP/1.1 {status} {reason}\r\n"
         f"content-type: application/json\r\n"
         f"content-length: {len(body)}\r\n"
-        f"connection: close\r\n\r\n"
+        f"connection: {connection}\r\n\r\n"
     ).encode("latin-1") + body
 
 
+def _no_route(method: str, path: str) -> tuple[dict[str, Any], int]:
+    err = ProtocolError(
+        E_NOT_FOUND if method in ("GET", "POST") else E_BAD_REQUEST,
+        f"no route for {method} {path}",
+    )
+    return error_frame(None, err), err.http_status
+
+
+def _content_length(headers: dict[str, str]) -> int:
+    raw = headers.get("content-length", "0") or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        raise _HttpError(400, "bad content-length")
+    length = int(raw)
+    if length > MAX_FRAME_BYTES:
+        raise _HttpError(413, "request body too large")
+    return length
+
+
 class ServiceServer:
-    """Bind, accept, and bridge connections into the ASGI app."""
+    """Bind, accept, and route each request or message to the app."""
 
     def __init__(
         self, app: PlanningApp, host: str = "127.0.0.1", port: int = 0
@@ -136,7 +175,9 @@ class ServiceServer:
                 pass  # peer went away or spoke garbage mid-frame
             except _HttpError as exc:
                 try:
-                    writer.write(_plain_response(exc.status, str(exc)))
+                    writer.write(_response(
+                        exc.status, {"ok": False, "error": str(exc)}
+                    ))
                     await writer.drain()
                 except ConnectionError:
                     pass
@@ -176,51 +217,25 @@ class ServiceServer:
         target: str,
         headers: dict[str, str],
     ) -> bool:
-        length = int(headers.get("content-length", "0") or "0")
-        if length > MAX_FRAME_BYTES:
-            raise _HttpError(413, "request body too large")
+        length = _content_length(headers)
         body = await reader.readexactly(length) if length else b""
         keep_alive = headers.get("connection", "").lower() != "close"
-        path, _, query = target.partition("?")
-        scope = {
-            "type": "http",
-            "asgi": {"version": "3.0"},
-            "http_version": "1.1",
-            "method": method,
-            "path": path,
-            "query_string": query.encode("latin-1"),
-            "headers": [
-                (k.encode("latin-1"), v.encode("latin-1"))
-                for k, v in headers.items()
-            ],
-        }
-        delivered = False
-
-        async def receive() -> dict[str, Any]:
-            nonlocal delivered
-            if delivered:
-                await asyncio.sleep(0)  # app over-reads: nothing more
-                return {"type": "http.disconnect"}
-            delivered = True
-            return {"type": "http.request", "body": body}
-
-        async def send(event: dict[str, Any]) -> None:
-            if event["type"] == "http.response.start":
-                status = event["status"]
-                reason = _REASONS.get(status, "Status")
-                header_lines = "".join(
-                    f"{k.decode('latin-1')}: {v.decode('latin-1')}\r\n"
-                    for k, v in event.get("headers", [])
-                )
-                connection = "keep-alive" if keep_alive else "close"
-                writer.write(
-                    f"HTTP/1.1 {status} {reason}\r\n{header_lines}"
-                    f"connection: {connection}\r\n\r\n".encode("latin-1")
-                )
-            elif event["type"] == "http.response.body":
-                writer.write(event.get("body", b""))
-
-        await self.app(scope, receive, send)
+        path = target.partition("?")[0]
+        if method == "GET" and path == "/healthz":
+            manager = self.app.manager
+            response: dict[str, Any] = {
+                "ok": True,
+                "tenants": len(manager),
+                "closing": manager.closing,
+            }
+            status = 200
+        elif method == "GET" and path == "/v1/tenants":
+            response, status = await self.app.dispatch_raw(_TENANTS_FRAME)
+        elif method == "POST" and path == "/v1/rpc":
+            response, status = await self.app.dispatch_raw(body)
+        else:
+            response, status = _no_route(method, path)
+        writer.write(_response(status, response, keep_alive))
         await writer.drain()
         return keep_alive
 
@@ -236,81 +251,43 @@ class ServiceServer:
         if method != "GET" or not key:
             raise _HttpError(400, "malformed websocket upgrade")
         path = target.partition("?")[0]
-        scope = {
-            "type": "websocket",
-            "asgi": {"version": "3.0"},
-            "path": path,
-            "headers": [
-                (k.encode("latin-1"), v.encode("latin-1"))
-                for k, v in headers.items()
-            ],
-        }
-        connected = False
-
-        async def receive() -> dict[str, Any]:
-            nonlocal connected
-            if not connected:
-                connected = True
-                return {"type": "websocket.connect"}
-            while True:
-                try:
-                    opcode, payload = await self._read_ws_frame(reader)
-                except (
-                    ConnectionError,
-                    asyncio.IncompleteReadError,
-                    ws.WebSocketError,
-                ):
-                    return {"type": "websocket.disconnect", "code": 1006}
-                if opcode == ws.OP_CLOSE:
-                    writer.write(ws.build_frame(ws.OP_CLOSE, payload[:2]))
-                    await writer.drain()
-                    return {"type": "websocket.disconnect", "code": 1000}
-                if opcode == ws.OP_PING:
-                    writer.write(ws.build_frame(ws.OP_PONG, payload))
-                    await writer.drain()
-                    continue
-                if opcode == ws.OP_PONG:
-                    continue
-                if opcode == ws.OP_TEXT:
-                    return {
-                        "type": "websocket.receive",
-                        "text": payload.decode("utf-8", "replace"),
-                    }
-                return {"type": "websocket.receive", "bytes": payload}
-
-        async def send(event: dict[str, Any]) -> None:
-            if event["type"] == "websocket.accept":
-                writer.write(
-                    (
-                        "HTTP/1.1 101 Switching Protocols\r\n"
-                        "upgrade: websocket\r\n"
-                        "connection: Upgrade\r\n"
-                        f"sec-websocket-accept: {ws.accept_key(key)}\r\n"
-                        "\r\n"
-                    ).encode("latin-1")
-                )
-            elif event["type"] == "websocket.send":
-                text = event.get("text")
-                if text is not None:
-                    frame = ws.build_frame(ws.OP_TEXT, text.encode())
-                else:
-                    frame = ws.build_frame(
-                        ws.OP_BINARY, event.get("bytes", b"")
-                    )
-                writer.write(frame)
-            elif event["type"] == "websocket.close":
-                if not connected:  # rejected before accept
-                    writer.write(_plain_response(403, "upgrade rejected"))
-                else:
-                    code = event.get("code", 1000)
-                    writer.write(
-                        ws.build_frame(
-                            ws.OP_CLOSE, code.to_bytes(2, "big")
-                        )
-                    )
+        if path != "/v1/stream":
+            response, status = _no_route(method, path)
+            writer.write(_response(status, response))
             await writer.drain()
-
-        await self.app(scope, receive, send)
+            return
+        writer.write(
+            (
+                "HTTP/1.1 101 Switching Protocols\r\n"
+                "upgrade: websocket\r\n"
+                "connection: Upgrade\r\n"
+                f"sec-websocket-accept: {ws.accept_key(key)}\r\n"
+                "\r\n"
+            ).encode("latin-1")
+        )
+        await writer.drain()
+        self._obs.count("service.ws_connections")
+        while True:
+            opcode, payload = await self._read_ws_frame(reader)
+            if opcode == ws.OP_CLOSE:
+                writer.write(ws.build_frame(ws.OP_CLOSE, payload[:2]))
+                await writer.drain()
+                return
+            if opcode == ws.OP_PONG:
+                continue
+            if opcode == ws.OP_PING:
+                writer.write(ws.build_frame(ws.OP_PONG, payload))
+            else:
+                raw: str | bytes = (
+                    payload.decode("utf-8", "replace")
+                    if opcode == ws.OP_TEXT
+                    else payload
+                )
+                response, _ = await self.app.dispatch_raw(raw)
+                writer.write(
+                    ws.build_frame(ws.OP_TEXT, json.dumps(response).encode())
+                )
+            await writer.drain()
 
     async def _read_ws_frame(
         self, reader: asyncio.StreamReader
@@ -353,44 +330,32 @@ class ServiceServer:
 #: Matched by subprocess tests to learn the bound port.
 READY_LINE = "serving on"
 
+#: What a bound server hands its starter: loop, stop event, port.
+_Handoff = tuple[asyncio.AbstractEventLoop, asyncio.Event, int]
 
-async def _serve_until_signalled(
-    root: str | Path,
+
+async def _serve(
+    manager: TenantManager,
     host: str,
     port: int,
-    backpressure: int,
-    fsync: bool,
-    ready_file: Any = None,
-) -> int:
-    manager = TenantManager(root, backpressure=backpressure, fsync=fsync)
-    loop = asyncio.get_running_loop()
-    # Recovery replays WALs and fsyncs snapshots — strictly blocking
-    # work, so it runs on the executor even in this pre-serving phase.
-    recovered = await loop.run_in_executor(None, manager.recover_all)
-    await manager.start_all()
-    for name, report in recovered:
-        if report is not None:
-            print(f"recovered tenant {name}: {report.summary()}",
-                  file=sys.stderr)
-    server = ServiceServer(PlanningApp(manager), host=host, port=port)
-    await server.start()
-    stop = asyncio.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except NotImplementedError:  # pragma: no cover - non-Unix
-            pass
-    print(
-        f"{READY_LINE} {host}:{server.port} "
-        f"({len(manager)} tenant(s), root={root})",
-        file=ready_file or sys.stdout,
-        flush=True,
-    )
-    await stop.wait()
-    print("shutting down: draining tenants", file=sys.stderr, flush=True)
-    await server.stop()
-    await manager.close_all()
-    return 0
+    on_ready: Callable[[_Handoff], None],
+) -> None:
+    """Serve a recovered ``manager`` until its stop event is set.
+
+    Once bound, ``on_ready((loop, stop_event, port))`` runs on the loop;
+    setting the stop event (from any thread, via the loop) drains every
+    tenant and seals its WAL before this returns.
+    """
+    manager.start_all()
+    try:
+        server = ServiceServer(PlanningApp(manager), host=host, port=port)
+        await server.start()
+        stop = asyncio.Event()
+        on_ready((asyncio.get_running_loop(), stop, server.port))
+        await stop.wait()
+        await server.stop()
+    finally:
+        await manager.close_all()
 
 
 def run_service(
@@ -401,13 +366,37 @@ def run_service(
     fsync: bool = True,
 ) -> int:
     """The blocking ``repro-gepc serve`` body."""
-    return asyncio.run(
-        _serve_until_signalled(root, host, port, backpressure, fsync)
-    )
+    manager = TenantManager(root, backpressure=backpressure, fsync=fsync)
+    for name, report in manager.recover_all():
+        if report is not None:
+            print(f"recovered tenant {name}: {report.summary()}",
+                  file=sys.stderr)
+
+    def announce(handoff: _Handoff) -> None:
+        loop, stop, bound = handoff
+
+        def shut_down() -> None:
+            print("shutting down: draining tenants", file=sys.stderr,
+                  flush=True)
+            stop.set()
+
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, shut_down)
+            except NotImplementedError:  # pragma: no cover - non-Unix
+                pass
+        print(
+            f"{READY_LINE} {host}:{bound} "
+            f"({len(manager)} tenant(s), root={root})",
+            flush=True,
+        )
+
+    asyncio.run(_serve(manager, host, port, announce))
+    return 0
 
 
 class ServiceThread:
-    """An in-process service on a daemon thread (tests/fuzz/bench).
+    """An in-process service on a daemon thread (tests and the fuzzer).
 
     ``start()`` returns once the socket is bound; ``stop()`` performs
     the same graceful shutdown as the signal path (drain workers, flush
@@ -424,88 +413,53 @@ class ServiceThread:
         self.root = Path(root)
         self.host = host
         self.port = 0
-        self.manager: TenantManager | None = None
+        #: The service's running loop (for watchdogs); None pre-start.
+        self.loop: asyncio.AbstractEventLoop | None = None
         self._backpressure = backpressure
         self._fsync = fsync
-        # The lifecycle handoff fields are written by the service thread
-        # and read by the controlling thread after ``_started`` fires;
-        # the lock makes the contract checkable (RL003/RL011), not just
-        # implied by the event's ordering.
-        self._lifecycle_lock = threading.Lock()
-        self._loop: asyncio.AbstractEventLoop | None = None  # guarded-by: _lifecycle_lock
-        self._stop_event: asyncio.Event | None = None  # guarded-by: _lifecycle_lock
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None  # guarded-by: _lifecycle_lock
+        self._stop_event: asyncio.Event | None = None
+        self._ready: futures.Future = futures.Future()
         self._thread: threading.Thread | None = None
 
-    @property
-    def base_url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop | None:
-        """The service's running loop (for watchdogs); None pre-start."""
-        with self._lifecycle_lock:
-            return self._loop
-
     def start(self) -> "ServiceThread":
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()),
-            name="repro-service",
-            daemon=True,
+        thread = threading.Thread(
+            target=self._run, name="repro-service", daemon=True
         )
-        self._thread.start()
-        if not self._started.wait(timeout=30):
+        thread.start()
+        try:
+            self.loop, self._stop_event, self.port = self._ready.result(
+                timeout=30
+            )
+        except futures.TimeoutError:
             raise RuntimeError("service thread failed to start in time")
-        with self._lifecycle_lock:
-            startup_error = self._startup_error
-        if startup_error is not None:
-            raise RuntimeError(
-                "service thread failed to start"
-            ) from startup_error
+        except Exception as exc:
+            raise RuntimeError("service thread failed to start") from exc
+        self._thread = thread
         return self
 
-    async def _main(self) -> None:
+    def _run(self) -> None:
         try:
-            loop = asyncio.get_running_loop()
-            self.manager = TenantManager(
-                self.root,
-                backpressure=self._backpressure,
-                fsync=self._fsync,
+            manager = TenantManager(
+                self.root, backpressure=self._backpressure, fsync=self._fsync
             )
-            await loop.run_in_executor(None, self.manager.recover_all)
-            await self.manager.start_all()
-            server = ServiceServer(
-                PlanningApp(self.manager), host=self.host, port=0
+            manager.recover_all()
+            asyncio.run(
+                _serve(manager, self.host, 0, self._ready.set_result)
             )
-            await server.start()
-            self.port = server.port
-            stop_event = asyncio.Event()
-            # repro-lint: ignore[RL009] uncontended microsecond startup handoff
-            with self._lifecycle_lock:
-                self._loop = loop
-                self._stop_event = stop_event
         except BaseException as exc:
-            # repro-lint: ignore[RL009] uncontended microsecond startup handoff
-            with self._lifecycle_lock:
-                self._startup_error = exc
-            self._started.set()
-            raise
-        self._started.set()
-        await stop_event.wait()
-        await server.stop()
-        await self.manager.close_all()
+            if self._ready.done():
+                raise
+            self._ready.set_exception(exc)
 
     def stop(self) -> None:
-        with self._lifecycle_lock:
-            loop, stop_event = self._loop, self._stop_event
-        if loop is not None and stop_event is not None:
-            loop.call_soon_threadsafe(stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-            if self._thread.is_alive():
-                raise RuntimeError("service thread did not stop in time")
-            self._thread = None
+        if self._thread is None:
+            return
+        assert self.loop is not None and self._stop_event is not None
+        self.loop.call_soon_threadsafe(self._stop_event.set)
+        self._thread.join(timeout=30)
+        if self._thread.is_alive():
+            raise RuntimeError("service thread did not stop in time")
+        self._thread = None
 
     def __enter__(self) -> "ServiceThread":
         return self.start()

@@ -29,11 +29,12 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-import threading
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterator, TypeVar
 
+from repro.core.fsio import atomic_write_text
 from repro.core.gepc.greedy import GreedySolver
 from repro.core.model import Instance
 from repro.datasets.cities import CITY_CONFIGS, make_city
@@ -204,8 +205,6 @@ class Tenant:
             "published": self.published,
             "seq": self.seq,
             "queue_depth": (
-                # GIL-atomic stale-tolerant read: describe() may run on
-                # an executor thread and tolerates a stale depth.
                 self._inbox.qsize() if self._inbox is not None else 0
             ),
             "users": self.durable.instance.n_users,
@@ -282,7 +281,13 @@ class Tenant:
 
 
 class TenantManager:
-    """The tenant registry: creation, recovery, lookup, shutdown."""
+    """The tenant registry: creation, recovery, lookup, shutdown.
+
+    The registry lives on the event loop: every method but
+    :meth:`build` and :meth:`recover_all` runs there, so lookups need no
+    lock.  :meth:`recover_all` runs before the loop starts; :meth:`build`
+    is the one blocking step of a create and runs on an executor thread.
+    """
 
     def __init__(self, root: str | Path, backpressure: int = 64,
                  fsync: bool = True) -> None:
@@ -290,9 +295,9 @@ class TenantManager:
         self.root.mkdir(parents=True, exist_ok=True)
         self._backpressure = backpressure
         self._fsync = fsync
-        self._tenants: dict[str, Tenant] = {}  # guarded-by: _lock
-        self._lock = threading.Lock()
-        self._closing = False  # guarded-by: _lock
+        self._tenants: dict[str, Tenant] = {}  # loop-confined
+        self._creating: set[str] = set()  # loop-confined
+        self._closing = False  # loop-confined
         self._obs = get_recorder()
 
     # ------------------------------------------------------------------ #
@@ -301,78 +306,68 @@ class TenantManager:
 
     @property
     def closing(self) -> bool:
-        """Whether shutdown has begun (blocking: takes the registry lock).
-
-        Event-loop callers hop onto the executor for this read; internal
-        code already under ``self._lock`` reads ``self._closing``
-        directly (the lock is not reentrant).
-        """
-        with self._lock:
-            return self._closing
+        """Whether shutdown has begun."""
+        return self._closing
 
     def get(self, name: str) -> Tenant:
-        with self._lock:
-            tenant = self._tenants.get(name)
+        tenant = self._tenants.get(name)
         if tenant is None:
             raise ProtocolError(
                 E_UNKNOWN_TENANT, f"no such tenant {name!r}"
             )
         return tenant
 
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._tenants)
-
     def describe_all(self) -> list[dict[str, Any]]:
-        with self._lock:
-            tenants = list(self._tenants.values())
-        return [t.describe() for t in sorted(tenants, key=lambda t: t.name)]
+        return [self._tenants[name].describe()
+                for name in sorted(self._tenants)]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._tenants)
+        return len(self._tenants)
 
     # ------------------------------------------------------------------ #
     # Creation
     # ------------------------------------------------------------------ #
 
-    def create(self, spec: TenantSpec) -> Tenant:
+    @contextmanager
+    def reserving(self, name: str) -> Iterator[None]:
+        """Hold ``name`` for one create in flight.
+
+        A second create of the same name is refused at once, so two
+        racing creates never build two platforms in one directory.
+        """
+        if self._closing:
+            raise ProtocolError(E_SHUTTING_DOWN, "service is shutting down")
+        if name in self._tenants or name in self._creating:
+            raise ProtocolError(
+                E_TENANT_EXISTS, f"tenant {name!r} already exists"
+            )
+        self._creating.add(name)
+        try:
+            yield
+        finally:
+            self._creating.discard(name)
+
+    def build(self, spec: TenantSpec) -> Tenant:
         """Build a fresh (unpublished) tenant and persist its spec.
 
-        Blocking (instance generation); callers on the event loop run it
-        in an executor.  The registry insert is atomic under the lock, so
-        two racing creates of one name leave exactly one winner.
+        Blocking (instance generation, WAL open, spec write): callers on
+        the event loop run it on an executor, inside :meth:`reserving`.
         """
-        with self._lock:
-            if self._closing:
-                raise ProtocolError(
-                    E_SHUTTING_DOWN, "service is shutting down"
-                )
-            if spec.name in self._tenants:
-                raise ProtocolError(
-                    E_TENANT_EXISTS,
-                    f"tenant {spec.name!r} already exists",
-                )
         directory = self.root / spec.name
-        tenant = Tenant(
-            spec,
-            directory,
-            self._build_durable(spec, directory),
-            backpressure=self._backpressure,
-        )
-        self._write_spec(spec, directory)
-        with self._lock:
-            if self._closing or spec.name in self._tenants:
-                tenant.platform.close()
-                code = (
-                    E_SHUTTING_DOWN if self._closing else E_TENANT_EXISTS
-                )
-                raise ProtocolError(
-                    code, f"tenant {spec.name!r} lost a creation race"
-                )
-            self._tenants[spec.name] = tenant
+        durable = self._build_durable(spec, directory)
+        try:
+            self._write_spec(spec, directory)
+        except BaseException:
+            durable.close()
+            raise
+        return Tenant(spec, directory, durable,
+                      backpressure=self._backpressure)
+
+    def add(self, tenant: Tenant) -> None:
+        """Register a tenant :meth:`build` made and start its worker."""
+        self._tenants[tenant.name] = tenant
+        tenant.start()
         self._obs.count("service.tenants_created")
-        return tenant
 
     def _build_durable(
         self, spec: TenantSpec, directory: Path
@@ -387,8 +382,10 @@ class TenantManager:
 
     def _write_spec(self, spec: TenantSpec, directory: Path) -> None:
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / SPEC_FILENAME).write_text(
-            json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n"
+        atomic_write_text(
+            directory / SPEC_FILENAME,
+            json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n",
+            durable=self._fsync,
         )
 
     # ------------------------------------------------------------------ #
@@ -398,13 +395,13 @@ class TenantManager:
     def recover_all(self) -> list[tuple[str, RecoveryReport | None]]:
         """Rebuild every tenant directory under the root.
 
-        A tenant that ever published recovers through
-        :meth:`DurablePlatform.recover` with ``strict=True`` — an
-        unverifiable directory refuses to serve rather than serving
-        corrupt plans.  A tenant that never published (no snapshot on
-        disk) has no durable state by construction; it is rebuilt from
-        its regenerated instance.  Returns ``(name, report-or-None)``
-        per tenant, in name order.
+        Runs before the event loop starts.  A tenant that ever published
+        recovers through :meth:`DurablePlatform.recover` with
+        ``strict=True`` — an unverifiable directory refuses to serve
+        rather than serving corrupt plans.  A tenant that never
+        published (no snapshot on disk) has no durable state by
+        construction; it is rebuilt from its regenerated instance.
+        Returns ``(name, report-or-None)`` per tenant, in name order.
         """
         results: list[tuple[str, RecoveryReport | None]] = []
         with self._obs.span("service.recover"):
@@ -424,35 +421,21 @@ class TenantManager:
                     )
                 else:
                     durable = self._build_durable(spec, directory)
-                tenant = Tenant(
+                self._tenants[spec.name] = Tenant(
                     spec,
                     directory,
                     durable,
                     recovery=report,
                     backpressure=self._backpressure,
                 )
-                with self._lock:
-                    self._tenants[spec.name] = tenant
                 results.append((spec.name, report))
                 self._obs.count("service.tenants_recovered")
         return results
 
-    async def start_all(self) -> None:
-        """Start every tenant's worker (after ``recover_all``).
-
-        Runs on the event loop — workers are tasks of the running loop —
-        but takes the registry snapshot on the executor so the loop never
-        waits on ``self._lock``.
-        """
-        tenants = await asyncio.get_running_loop().run_in_executor(
-            None, self._registered
-        )
-        for tenant in tenants:
+    def start_all(self) -> None:
+        """Start every recovered tenant's worker (on the loop)."""
+        for tenant in self._tenants.values():
             tenant.start()
-
-    def _registered(self) -> list[Tenant]:
-        with self._lock:
-            return list(self._tenants.values())
 
     # ------------------------------------------------------------------ #
     # Shutdown
@@ -460,18 +443,10 @@ class TenantManager:
 
     async def close_all(self) -> None:
         """Graceful shutdown: stop accepting, drain workers, seal WALs."""
-        tenants = await asyncio.get_running_loop().run_in_executor(
-            None, self._begin_close
-        )
-        for tenant in tenants:
+        self._closing = True
+        for tenant in list(self._tenants.values()):
             await tenant.stop()
         self._obs.count("service.shutdowns")
-
-    def _begin_close(self) -> list[Tenant]:
-        """Flip the closing flag and snapshot the registry (blocking)."""
-        with self._lock:
-            self._closing = True
-            return list(self._tenants.values())
 
 
 __all__ = [

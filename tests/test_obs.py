@@ -1,6 +1,8 @@
 """Tests for the zero-dependency observability layer (``repro.obs``)."""
 
+import asyncio
 import json
+import threading
 
 from repro import cli
 from repro.bench.harness import measure
@@ -70,6 +72,47 @@ class TestRecorder:
             pass
         assert recorder.current_path == ""
         assert "outer/boom" in recorder.span_stats
+
+    def test_overlapping_tasks_nest_only_their_own_spans(self):
+        recorder = Recorder()
+
+        async def outer() -> None:
+            with recorder.span("a"):
+                await asyncio.sleep(0.01)
+
+        async def inner() -> None:
+            await asyncio.sleep(0)
+            with recorder.span("b"):
+                await asyncio.sleep(0.02)
+
+        async def probe() -> None:
+            await asyncio.gather(outer(), inner())
+
+        asyncio.run(probe())
+        assert sorted(recorder.span_stats) == ["a", "b"]
+        assert recorder.current_path == ""
+
+    def test_threads_nest_only_their_own_spans(self):
+        recorder = Recorder()
+        opened = threading.Barrier(2)
+
+        def work(name: str) -> None:
+            with recorder.span(name):
+                opened.wait(timeout=10)
+                with recorder.span("leaf"):
+                    opened.wait(timeout=10)
+
+        threads = [
+            threading.Thread(target=work, args=(name,))
+            for name in ("left", "right")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sorted(recorder.span_stats) == [
+            "left", "left/leaf", "right", "right/leaf",
+        ]
 
     def test_snapshot_round_trip(self):
         recorder = Recorder()

@@ -6,7 +6,11 @@ plan, same applied log).  Runs against a real in-process server over
 both transports.
 """
 
+import asyncio
+import http.client
 import json
+import socket
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -17,11 +21,13 @@ from repro.service import (
     ServiceError,
     ServiceThread,
     WebSocketClient,
+    ws,
 )
 from repro.service.protocol import (
     ACTIONS,
     E_ALREADY_PUBLISHED,
     E_BAD_FRAME,
+    E_BAD_REQUEST,
     E_BAD_SPEC,
     E_INVALID_OP,
     E_NOT_FOUND,
@@ -30,6 +36,7 @@ from repro.service.protocol import (
     E_UNKNOWN_ACTION,
     E_UNKNOWN_TENANT,
     E_VERSION_MISMATCH,
+    MAX_FRAME_BYTES,
 )
 
 
@@ -60,6 +67,22 @@ def client(service):
 def ws_client(service):
     with WebSocketClient(service.host, service.port) as c:
         yield c
+
+
+def raw_exchange(service, head: str) -> str:
+    """Send one raw request head; return all the server sends back.
+
+    Every exchange sent this way ends with the server closing the
+    connection, so reading to EOF collects the whole response.
+    """
+    chunks = []
+    with socket.create_connection(
+        (service.host, service.port), timeout=10
+    ) as sock:
+        sock.sendall(head.encode("latin-1"))
+        while chunk := sock.recv(4096):
+            chunks.append(chunk)
+    return b"".join(chunks).decode("latin-1")
 
 
 def state_of(client, tenant="alpha"):
@@ -233,20 +256,48 @@ class TestOperationValidation:
 class TestTransports:
     def test_healthz(self, client):
         health = client.healthz()
-        assert health["ok"] is True
-        assert health["tenants"] == 2
+        assert health == {"ok": True, "tenants": 2, "closing": False}
 
     def test_unknown_route_is_404(self, service):
-        import http.client
-
         conn = http.client.HTTPConnection(service.host, service.port)
         conn.request("GET", "/v2/nothing")
-        assert conn.getresponse().status == 404
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        assert response.status == 404
+        assert payload["error"]["code"] == E_NOT_FOUND
         conn.close()
 
-    def test_tenants_alias_route(self, service):
-        import http.client
+    def test_other_method_is_bad_request(self, service):
+        conn = http.client.HTTPConnection(service.host, service.port)
+        conn.request("DELETE", "/v1/rpc")
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        assert response.status == 400
+        assert payload["ok"] is False
+        assert payload["error"]["code"] == E_BAD_REQUEST
+        assert payload["error"]["message"] == "no route for DELETE /v1/rpc"
+        conn.close()
 
+    def test_oversized_body_is_413(self, service):
+        # The head alone is refused: the server never reads the body.
+        status = raw_exchange(
+            service,
+            "POST /v1/rpc HTTP/1.1\r\n"
+            f"content-length: {MAX_FRAME_BYTES + 1}\r\n\r\n",
+        ).split("\r\n")[0]
+        assert status.startswith("HTTP/1.1 413 ")
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_400(self, service, length):
+        response = raw_exchange(
+            service,
+            f"POST /v1/rpc HTTP/1.1\r\ncontent-length: {length}\r\n\r\n",
+        )
+        assert response.split("\r\n")[0] == "HTTP/1.1 400 Bad Request"
+        body = json.loads(response.split("\r\n\r\n", 1)[1])
+        assert body == {"ok": False, "error": "bad content-length"}
+
+    def test_tenants_alias_route(self, service):
         conn = http.client.HTTPConnection(service.host, service.port)
         conn.request("GET", "/v1/tenants")
         response = conn.getresponse()
@@ -269,27 +320,30 @@ class TestTransports:
         # The stream survives the error and keeps serving.
         assert ws_client.ping()["pong"] is True
 
-    def test_websocket_wrong_path_is_refused(self, service):
-        import base64
-        import os
-        import socket
+    def test_websocket_binary_message_is_dispatched(self, ws_client):
+        frame = json.dumps(
+            {"v": PROTOCOL_VERSION, "id": "bin", "action": "ping"}
+        ).encode()
+        ws_client._sock.sendall(
+            ws.build_frame(ws.OP_BINARY, frame, mask=True)
+        )
+        response = json.loads(ws_client.recv_text())
+        assert response["id"] == "bin"
+        assert response["ok"] is True
+        assert response["pong"] is True
 
-        sock = socket.create_connection(
-            (service.host, service.port), timeout=10
+    def test_websocket_wrong_path_is_refused(self, service):
+        response = raw_exchange(
+            service,
+            "GET /wrong/path HTTP/1.1\r\n"
+            f"host: {service.host}\r\n"
+            "upgrade: websocket\r\n"
+            "connection: Upgrade\r\n"
+            "sec-websocket-key: dGhlIHNhbXBsZSBub25jZQ==\r\n\r\n",
         )
-        key = base64.b64encode(os.urandom(16)).decode()
-        sock.sendall(
-            (
-                "GET /wrong/path HTTP/1.1\r\n"
-                f"host: {service.host}\r\n"
-                "upgrade: websocket\r\n"
-                "connection: Upgrade\r\n"
-                f"sec-websocket-key: {key}\r\n\r\n"
-            ).encode()
-        )
-        status = sock.recv(4096).decode("latin-1").split("\r\n")[0]
-        assert "101" not in status
-        sock.close()
+        assert response.split("\r\n")[0] == "HTTP/1.1 404 Not Found"
+        body = json.loads(response.split("\r\n\r\n", 1)[1])
+        assert body["error"]["code"] == E_NOT_FOUND
 
     def test_http_and_ws_share_state(self, client, ws_client):
         http_view = client.plan_summary("alpha")
@@ -315,3 +369,46 @@ class TestErrorEnvelope:
         for body, expected_status in cases:
             status, _ = client.raw_post(body)
             assert status == expected_status
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    """The loop's default executor, counting every job it is given."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=2)
+        self.jobs = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.jobs += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+def test_each_frame_makes_at_most_one_executor_hop(tmp_path):
+    executor = CountingExecutor()
+
+    async def install() -> None:
+        asyncio.get_running_loop().set_default_executor(executor)
+
+    with (
+        ServiceThread(tmp_path) as svc,
+        ServiceClient(svc.host, svc.port) as client,
+    ):
+        asyncio.run_coroutine_threadsafe(install(), svc.loop).result(10)
+        client.create_tenant(
+            {"name": "hops", "kind": "meetup", "users": 8, "events": 4}
+        )
+        client.publish("hops")
+        for action, call in (
+            ("submit", lambda: client.submit("hops", [BudgetChange(0, 30.0)])),
+            ("plan", lambda: client.plan("hops", user=0)),
+            ("attendees", lambda: client.attendees("hops", event=0)),
+            ("summary", lambda: client.summary("hops")),
+        ):
+            before = executor.jobs
+            call()
+            assert executor.jobs - before == 1, action
+        before = executor.jobs
+        client.ping()
+        client.tenants()
+        client.healthz()
+        assert executor.jobs == before

@@ -24,8 +24,15 @@ import repro
 from repro.check import FuzzConfig, fuzz_instance, run_twin
 from repro.core.gepc import GreedySolver
 from repro.platform import DurablePlatform
-from repro.service import ServiceClient
+from repro.service import (
+    ServiceClient,
+    ServiceError,
+    ServiceThread,
+    TenantManager,
+)
+from repro.service.protocol import E_INTERNAL
 from repro.service.server import READY_LINE
+from repro.service.tenants import SPEC_FILENAME
 
 TENANTS = {
     "kappa": 11,
@@ -223,3 +230,34 @@ class TestColdRecoveryDetails:
         twin = crashed["twins"][name].get(report.last_seq)
         assert twin is not None
         assert report.utility == twin.utility
+
+
+def test_failed_spec_write_leaves_no_spec_and_recovery_starts(
+    tmp_path, monkeypatch
+):
+    """A create whose ``tenant.json`` rename fails leaves no spec file,
+    torn or whole, so a restart still recovers; the name is freed."""
+    real_replace = os.replace
+
+    def replace(src, dst, *args, **kwargs):
+        if Path(dst).name == SPEC_FILENAME:
+            raise OSError("injected spec write failure")
+        return real_replace(src, dst, *args, **kwargs)
+
+    spec = {"name": "torn", "kind": "meetup", "users": 8, "events": 4}
+    with (
+        ServiceThread(tmp_path) as service,
+        ServiceClient(service.host, service.port) as client,
+    ):
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(ServiceError) as err:
+            client.create_tenant(spec)
+        monkeypatch.undo()
+        assert err.value.code == E_INTERNAL
+        assert not list((tmp_path / "torn").glob(f"{SPEC_FILENAME}*"))
+        assert TenantManager(tmp_path, fsync=False).recover_all() == []
+        client.create_tenant(spec)
+
+    manager = TenantManager(tmp_path, fsync=False)
+    assert manager.recover_all() == [("torn", None)]
+    manager.get("torn").platform.close()
