@@ -14,7 +14,10 @@ quantity from the raw problem data and diffs it against the live caches:
   vs. a from-scratch :meth:`Instance.rebuilt` — this is what validates the
   shared-cache identity rules of ``with_event``/``with_user``/
   ``with_utility``/``with_new_event``: an illegally shared or mis-patched
-  cache diverges from the rebuild and is reported.
+  cache diverges from the rebuild and is reported,
+* the plan's **carried utility total** vs. a from-scratch ``math.fsum``,
+* and (:meth:`InvariantAuditor.audit_dif`) the **owned-user dif** of a
+  ``rebound_to`` child vs. a scan of every user.
 
 Every divergence is a structured :class:`CacheMismatch`; the auditor never
 raises on its own (callers — shadow mode, the fuzzer, tests — decide).
@@ -22,13 +25,15 @@ raises on its own (callers — shadow mode, the fuzzer, tests — decide).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.metrics import dif
 from repro.core.model import Instance
-from repro.core.plan import GlobalPlan
+from repro.core.plan import UTILITY_UNIT, GlobalPlan
 from repro.core.tolerances import AUDIT_FLOAT_TOL, BUDGET_TOL
 from repro.obs import get_recorder
 
@@ -121,9 +126,35 @@ class InvariantAuditor:
         event_ids = range(instance.n_events) if events is None else events
         self._audit_users(plan, reference, user_ids, report)
         self._audit_events(plan, event_ids, report)
+        if users is None:
+            self._audit_utility(plan, report)
         obs.count("check.audit.runs")
         obs.count("check.audit.checks", report.checks)
         obs.count("check.audit.mismatches", len(report.mismatches))
+        return report
+
+    def audit_dif(self, old: GlobalPlan, new: GlobalPlan) -> AuditReport:
+        """``dif(old, new)`` vs. a scan of every user.
+
+        ``metrics.dif`` walks only the users a ``rebound_to`` child owns,
+        so a list changed without being owned makes the two differ.
+        """
+        report = AuditReport(checks=1)
+        scanned = sum(
+            len(set(events) - set(new._plans[user]))
+            for user, events in enumerate(old._plans)
+        )
+        measured = dif(old, new)
+        if measured != scanned:
+            report.mismatches.append(
+                CacheMismatch(
+                    kind="dif",
+                    cached=measured,
+                    expected=scanned,
+                    detail="owned-user dif != full-scan dif",
+                )
+            )
+        get_recorder().count("check.audit.mismatches", len(report.mismatches))
         return report
 
     def audit_kernel_strategies(
@@ -493,6 +524,27 @@ class InvariantAuditor:
                         detail="feasible_mask disagrees with the definition",
                     )
                 )
+
+    def _audit_utility(self, plan: GlobalPlan, report: AuditReport) -> None:
+        """The carried exact total vs. ``math.fsum`` over every assignment
+        (both exactly rounded, so equality is exact)."""
+        utility = plan.instance.utility
+        expected = math.fsum(
+            float(utility[user, event])
+            for user, events in enumerate(plan._plans)
+            for event in events
+        )
+        carried = plan.utility_units() / UTILITY_UNIT
+        report.checks += 1
+        if carried != expected:
+            report.mismatches.append(
+                CacheMismatch(
+                    kind="utility_total",
+                    cached=carried,
+                    expected=expected,
+                    detail="carried utility total != fsum recompute",
+                )
+            )
 
     # ------------------------------------------------------------------ #
     # Per-event counters

@@ -8,7 +8,8 @@ are shared; each target contributes only its checks:
 
 ``engine`` (``repro-gepc fuzz``)
     Greedy-solve, then apply the stream through the IEP engine.  After
-    *every* operation: a full invariant audit; incremental vs. a
+    *every* operation: the owned-user ``dif`` vs. a full scan; a full
+    invariant audit (the carried utility total included); incremental vs. a
     from-scratch rebuild (``Instance.rebuilt()`` + a fresh
     :class:`GlobalPlan`) on utility and the ``check_plan`` verdict;
     vectorized kernel rows vs. the scalar cold-cache fallback; and
@@ -517,6 +518,9 @@ def _engine_seed(
         else:
             operation = next(iter(stream.mixed(instance, plan, 1)))
         result = engine.apply(instance, plan, operation)
+        dif_audit = auditor.audit_dif(plan, result.plan)
+        report.checks += dif_audit.checks
+        report.mismatches.extend(dif_audit.mismatches)
         instance, plan = result.instance, result.plan
         report.operations += 1
         stats.total_dif += result.dif

@@ -157,6 +157,9 @@ class UtilityFill:
         residual_left: list[int] = residual.tolist()
         route_costs = plan._route_costs
         plans = plan._plans
+        # Users are touched only after an add(), which gives the plan its
+        # own copy of a list and blocked row shared with a fork: the rows
+        # cached here stay live, and lists are re-read from ``plans``.
         touched: set[int] = set()
         blocked_rows: dict[int, np.ndarray] = {}
         added = 0

@@ -176,7 +176,9 @@ class GreedySolver(GEPCSolver):
             utilities = utility_row.tolist()
             mask = plan.feasible_mask(user)
             blocked = None
-            user_events = plan._plans[user]  # live list; add() mutates it
+            # The live list; re-read after each add(), which copies a list
+            # the plan shares with a fork before mutating it.
+            user_events = plan._plans[user]
             route_costs = plan._route_costs
             budget = planes.budgets[user]
             splice = kernel_mod.scalar_splice
@@ -216,6 +218,7 @@ class GreedySolver(GEPCSolver):
                         continue
                     hint = (position, delta)
                 plan.add(user, event, splice_hint=hint)
+                user_events = plan._plans[user]
                 remaining[event] -= 1
                 taken += 1
                 mask = None  # plan changed; scalar rechecks from here on

@@ -7,7 +7,11 @@ Usage::
     result.plan      # repaired plan, feasible on result.instance
     result.dif       # negative impact vs the input plan (Definition 2)
 
-The input instance and plan are never mutated; repairs run on copies.
+The input instance and plan are never mutated.  Repairs run on a
+``GlobalPlan.rebound_to`` child, which shares every per-user list it does
+not recompute with the input plan and copies a list only when it first
+mutates it; ``result.dif`` and ``result.utility`` then cost O(users the
+child owns), not O(|U|).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ one, summed over users.
 from __future__ import annotations
 
 from repro.core.model import Instance
-from repro.core.plan import GlobalPlan
+from repro.core.plan import UTILITY_UNIT, GlobalPlan
 
 
 def user_utility(instance: Instance, plan: GlobalPlan, user: int) -> float:
@@ -22,31 +22,32 @@ def user_utility(instance: Instance, plan: GlobalPlan, user: int) -> float:
 def total_utility(instance: Instance, plan: GlobalPlan) -> float:
     """``U_P``: the global utility of ``plan`` (Definition 1 objective).
 
-    Reads the plan lists in place (no per-user copies) and skips empty
-    plans outright — at soak scale most users hold none, and this runs
-    once per applied operation.
+    The exactly rounded sum of the assigned utilities (``math.fsum``'s
+    value), so it does not depend on summation order.  On the plan's own
+    instance it reads the plan's carried exact total, which a
+    ``rebound_to`` child updates over its owned users only.
     """
-    utility = instance.utility
-    return float(
-        sum(
-            utility[user, event]
-            for user, events in enumerate(plan._plans)
-            if events
-            for event in events
-        )
-    )
+    if instance is plan.instance:
+        units = plan.utility_units()
+    else:
+        units = plan.tally(instance.utility)
+    return units / UTILITY_UNIT
 
 
 def dif(old: GlobalPlan, new: GlobalPlan) -> int:
-    """Negative impact ``dif(P, P') = sum_i |P_i \\ P'_i|`` (Definition 2)."""
+    """Negative impact ``dif(P, P') = sum_i |P_i \\ P'_i|`` (Definition 2).
+
+    When ``new`` is a sharing child of ``old`` (``rebound_to``), only the
+    users ``new`` owns are compared: every other list is the one both
+    plans share.
+    """
     if old.instance.n_users != new.instance.n_users:
         raise ValueError("plans cover different user populations")
     impact = 0
-    for user, events in enumerate(old._plans):
-        if not events:
-            continue
-        lost = set(events) - set(new._plans[user])
-        impact += len(lost)
+    for user in new.users_changed_since(old):
+        events = old._plans[user]
+        if events:
+            impact += len(set(events).difference(new._plans[user]))
     return impact
 
 

@@ -18,13 +18,20 @@ solvers' inner loops run on (see ``docs/performance.md``):
 * ``insertion_deltas``/``feasible_mask`` evaluate *all* candidate events of
   one user at once through ``DistanceMatrix`` row slices, cached until that
   user's plan next changes — ``can_attend`` is an O(1) lookup into the same
-  cache.
+  cache;
+* ``rebound_to`` is a **sharing clone** (path copying, as in persistent
+  data structures): parent and child share every per-user list the rebind
+  does not recompute, and whichever side mutates a shared list first
+  copies it.  The child therefore knows which users it *owns* — the only
+  ones whose plan or utility can differ from its parent's — and ``dif``
+  and the exact utility total touch only those.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -36,6 +43,23 @@ from repro.core.tolerances import BUDGET_TOL, ROUTE_DRIFT_REPIN_TOL
 # operation: the guard is one truthiness test per add/remove).  Each hook
 # is called as ``hook(plan, action, user, event)`` after the mutation.
 _MUTATION_HOOKS: list[Callable[["GlobalPlan", str, int, int], None]] = []
+
+# Utility totals are carried exactly.  Every float64 is an integer multiple
+# of 2**-1074, so a total kept as that integer never drifts, and one
+# correctly rounded division reads it out — the value ``math.fsum`` gives.
+UTILITY_UNIT = 1 << 1074
+
+# Users compared per slice when a rebind looks for changed users.
+_USER_SLICE = 1024
+
+
+def exact_units(values: Iterable[float]) -> int:
+    """The exact sum of ``values`` as an integer count of 2**-1074."""
+    total = 0
+    for value in values:
+        numerator, denominator = value.as_integer_ratio()
+        total += numerator << (1075 - denominator.bit_length())
+    return total
 
 
 class GlobalPlan:
@@ -49,7 +73,9 @@ class GlobalPlan:
         self.instance = instance
         self._plans: list[list[int]] = [[] for _ in range(instance.n_users)]
         self._attendance: list[int] = [0] * instance.n_events
-        self._route_costs: list[float] = [0.0] * instance.n_users
+        # A flat float64 array, so a clone copies and frees it as one
+        # block (a list would hold a float object per user).
+        self._route_costs = array("d", bytes(8 * instance.n_users))
         # Per-event attendee index: attendees()/clear_event() in O(degree).
         self._attendee_sets: list[set[int]] = [
             set() for _ in range(instance.n_events)
@@ -66,6 +92,17 @@ class GlobalPlan:
         # _touch runs on every mutation and the property re-wraps a view
         # per call.
         self._conflict_rows: np.ndarray | None = None
+        # Copy-on-write state (see ``rebound_to``).  ``None`` until the
+        # first fork: the plan owns every list.  Then one tuple, replaced
+        # whole so a concurrent reader never sees half of it:
+        # ``(units, owned)``, the exact utility total at the last fork and,
+        # for each user whose list this plan copied since, the user's
+        # exact utility at that fork.  Owned lists are this plan's alone;
+        # every other list may be shared and is copied before a mutation.
+        self._carried: tuple[int, dict[int, int]] | None = None
+        # The parent's ``owned`` dict at the fork this plan came from
+        # (``None`` once this plan forks in turn): ``dif`` reads it.
+        self._origin: dict[int, int] | None = None
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -135,7 +172,7 @@ class GlobalPlan:
         """
         if user in self._attendee_sets[event]:
             raise ValueError(f"user {user} already attends event {event}")
-        plan = self._plans[user]
+        plan = self._owned_list(user)
         if splice_hint is None:
             position, delta = self._splice(user, plan, event)
         else:
@@ -155,7 +192,7 @@ class GlobalPlan:
             raise ValueError(
                 f"user {user} does not attend event {event}"
             )
-        plan = self._plans[user]
+        plan = self._owned_list(user)
         position = plan.index(event)
         delta = self._unsplice_delta(user, plan, position)
         del plan[position]
@@ -180,6 +217,26 @@ class GlobalPlan:
         for user in touched:
             self.remove(user, event)
         return touched
+
+    def _owned_list(self, user: int) -> list[int]:
+        """``user``'s list, copied first if another plan may share it."""
+        carried = self._carried
+        if carried is None or user in carried[1]:
+            return self._plans[user]
+        plan = list(self._plans[user])
+        self._own(user, self._user_units(user), plan)
+        return plan
+
+    def _own(self, user: int, units: int, plan: list[int]) -> None:
+        """Install ``plan`` as ``user``'s own list; ``units`` is the user's
+        exact utility at the last fork.  A shared blocked row is copied
+        with it, since ``_touch`` updates rows in place."""
+        assert self._carried is not None
+        self._carried[1][user] = units
+        self._plans[user] = plan
+        row = self._blocked.get(user)
+        if row is not None:
+            self._blocked[user] = row.copy()
 
     def _conflict_matrix(self) -> np.ndarray:
         rows = self._conflict_rows
@@ -452,7 +509,7 @@ class GlobalPlan:
         clone.instance = self.instance
         clone._plans = [list(plan) for plan in self._plans]
         clone._attendance = list(self._attendance)
-        clone._route_costs = list(self._route_costs)
+        clone._route_costs = self._route_costs[:]
         clone._attendee_sets = [set(s) for s in self._attendee_sets]
         # Blocked rows are lazily rebuilt from the plan + conflict matrix;
         # an empty plan's row is all zeros, so only rows backing a live
@@ -467,88 +524,165 @@ class GlobalPlan:
         clone._kernel_cache = dict(self._kernel_cache)
         clone._event_ids = self._event_ids
         clone._conflict_rows = self._conflict_rows
+        clone._carried = None
+        clone._origin = None
         return clone
 
     def rebound_to(self, instance: Instance) -> "GlobalPlan":
         """The same assignments re-bound to a modified instance.
 
         Used by the IEP engine after an atomic operation changes event or
-        user attributes: route costs are recomputed against the new instance,
-        and a new-event column extends the attendance vector.  The result may
-        be infeasible — that is exactly what the repair algorithms fix.
+        user attributes; a new-event column extends the attendance vector.
+        The result may be infeasible — that is exactly what the repair
+        algorithms fix.
 
-        Rebinding is cache-preserving: events and users the operation did
-        not touch are detected by object identity (the ``with_*`` updates
-        reuse untouched ``User``/``Event`` objects), and only plans that
-        intersect the touched entities get their order and route cost
-        recomputed.  A bound/utility change therefore rebinds in O(n + m)
-        instead of O(n * k).
+        The child is a sharing clone.  Only *stale* users get a fresh
+        start-sorted list and a recomputed route cost: the attendees of
+        events whose venue or interval changed, users whose attributes
+        changed (the ``with_*`` updates reuse untouched ``User``/``Event``
+        objects, so both are found by identity first), or everyone with a
+        plan when the cost model changed.  Every other list is shared with
+        this plan, and whichever side mutates it first copies it
+        (``_owned_list``), so parent and child behave exactly like deep
+        copies.  The child also owns the users whose assigned utilities
+        changed, which keeps its carried utility total exact.  A rebind
+        therefore costs O(n) pointer copies plus work on the stale users,
+        not a per-user rebuild.
         """
         old = self.instance
         if instance.n_users != old.n_users:
             raise ValueError("rebinding cannot change the user population")
         if instance.n_events < old.n_events:
             raise ValueError("rebinding cannot drop events")
-
-        changed_users = self._changed_users(old, instance)
-        changed_events, geometry_changed, time_changed = self._changed_events(
-            old, instance
-        )
-        same_cost_model = instance.cost_model is old.cost_model
-
-        clone = GlobalPlan(instance)
-        for user, plan in enumerate(self._plans):
-            if not plan:
-                continue
-            stale = (
-                not same_cost_model
-                or user in changed_users
-                or any(event in changed_events for event in plan)
-            )
-            if stale:
-                ordered = sorted(plan, key=instance.event_starts.__getitem__)
-                clone._plans[user] = ordered
-                clone._route_costs[user] = instance.route_cost(user, ordered)
-            else:
-                clone._plans[user] = list(plan)
-                clone._route_costs[user] = self._route_costs[user]
-            for event in plan:
-                clone._attendance[event] += 1
-                clone._attendee_sets[event].add(user)
-        if not time_changed and instance.n_events == old.n_events:
-            # Conflict relation unchanged: blocked counters carry forward
-            # (empty-plan rows are all zeros — rebuilt lazily, not copied).
-            clone._blocked = {
-                user: row.copy()
-                for user, row in self._blocked.items()
-                if self._plans[user]
+        plans = self._plans
+        if instance.cost_model is not old.cost_model:
+            stale = {user for user, plan in enumerate(plans) if plan}
+        else:
+            stale = {
+                user
+                for user in self._changed_users(old, instance)
+                if plans[user]
             }
-        # geometry_changed is folded into changed_events above; referenced
-        # here so the three-way split stays explicit for future use.
-        del geometry_changed
+        changed_events, time_changed = self._changed_events(old, instance)
+        for event in changed_events:
+            stale.update(self._attendee_sets[event])
+        retallied = self._changed_utilities(old, instance) - stale
+
+        units, origin = self._fork()
+        added = instance.n_events - old.n_events
+        clone = GlobalPlan.__new__(GlobalPlan)
+        clone.instance = instance
+        clone._plans = list(plans)
+        clone._attendance = self._attendance + [0] * added
+        clone._route_costs = self._route_costs[:]
+        clone._attendee_sets = [set(s) for s in self._attendee_sets]
+        clone._attendee_sets.extend(set() for _ in range(added))
+        # Blocked counters depend on the conflict relation only; rows of
+        # empty plans are all zeros and rebuilt lazily, not carried.
+        clone._blocked = (
+            {user: row for user, row in self._blocked.items() if plans[user]}
+            if not time_changed and not added
+            else {}
+        )
+        clone._kernel_cache = {}
+        clone._event_ids = (
+            self._event_ids if not added else np.arange(instance.n_events)
+        )
+        clone._conflict_rows = None
+        clone._carried = (units, {})
+        clone._origin = origin
+        utility = old.utility
+        starts = instance.event_starts
+        for user in sorted(stale):
+            plan = plans[user]
+            ordered = sorted(plan, key=starts.__getitem__)
+            clone._own(user, _units_of(utility, user, plan), ordered)
+            clone._route_costs[user] = instance.route_cost(user, ordered)
+        for user in sorted(retallied):
+            plan = plans[user]
+            clone._own(user, _units_of(utility, user, plan), list(plan))
         return clone
 
-    @staticmethod
-    def _changed_users(old: Instance, new: Instance) -> set[int]:
-        if new.users is old.users:
-            return set()
-        return {
-            i
-            for i, (a, b) in enumerate(zip(old.users, new.users))
-            if a is not b and a != b
-        }
+    def _fork(self) -> tuple[int, dict[int, int]]:
+        """Fold the owned users into the exact total and give up ownership
+        of every list (a child is about to share them).  Returns the new
+        ``(units, owned)`` state."""
+        carried: tuple[int, dict[int, int]] = (self.utility_units(), {})
+        self._carried = carried
+        self._origin = None
+        return carried
+
+    def _user_units(self, user: int) -> int:
+        return _units_of(self.instance.utility, user, self._plans[user])
+
+    def utility_units(self) -> int:
+        """The exact total utility, in units of 2**-1074.
+
+        After a fork this costs O(owned users); a plan that never forked
+        sums every assignment once per call.
+        """
+        carried = self._carried
+        if carried is None:
+            return self.tally(self.instance.utility)
+        units, owned = carried
+        for user, before in owned.items():
+            units += self._user_units(user) - before
+        return units
+
+    def tally(self, utility: np.ndarray) -> int:
+        """Exact total of ``utility`` over every assignment, from scratch."""
+        units = 0
+        for event, users in enumerate(self._attendee_sets):
+            if users:
+                rows = np.fromiter(users, dtype=np.intp, count=len(users))
+                units += exact_units(utility[rows, event].tolist())
+        return units
+
+    def users_changed_since(self, parent: "GlobalPlan") -> Iterable[int]:
+        """Users whose list may differ from ``parent``'s.
+
+        When this plan is a ``rebound_to`` child of ``parent`` and
+        ``parent`` has neither mutated nor forked again since, that is the
+        users this plan owns: every other list is still the one object
+        both share.  Otherwise it is every user.
+        """
+        owned = parent._carried[1] if parent._carried else None
+        if self._origin is not None and self._origin is owned and not owned:
+            assert self._carried is not None
+            return self._carried[1].keys()
+        return range(len(self._plans))
 
     @staticmethod
-    def _changed_events(
-        old: Instance, new: Instance
-    ) -> tuple[set[int], bool, bool]:
-        """(changed event ids, any geometry change, any interval change).
+    def _changed_users(old: Instance, new: Instance) -> list[int]:
+        """Ids of users whose attributes differ.
+
+        Compared in slices: list equality skips identical objects in C, so
+        an update that replaced one ``User`` costs one pass of pointer
+        comparisons, not one Python iteration per user.
+        """
+        if new.users is old.users:
+            return []
+        changed: list[int] = []
+        for lo in range(0, len(old.users), _USER_SLICE):
+            before = old.users[lo : lo + _USER_SLICE]
+            after = new.users[lo : lo + _USER_SLICE]
+            if before != after:
+                changed.extend(
+                    lo + i
+                    for i, (a, b) in enumerate(zip(before, after))
+                    if a != b
+                )
+        return changed
+
+    @staticmethod
+    def _changed_events(old: Instance, new: Instance) -> tuple[set[int], bool]:
+        """(ids of events whose venue or interval changed, any interval
+        change).
 
         Appended events (``NewEvent``) are not "changed": they appear in no
         existing plan, so they cannot affect carried-over route costs.
         """
         changed: set[int] = set()
-        geometry = False
         time = False
         if new.events is not old.events:
             for j, (a, b) in enumerate(zip(old.events, new.events)):
@@ -556,11 +690,27 @@ class GlobalPlan:
                     continue
                 if a.location != b.location:
                     changed.add(j)
-                    geometry = True
                 if a.interval != b.interval:
                     changed.add(j)
                     time = True
-        return changed, geometry, time
+        return changed, time
+
+    def _changed_utilities(self, old: Instance, new: Instance) -> set[int]:
+        """Users with an assigned (user, event) utility that differs."""
+        if new.utility is old.utility:
+            return set()
+        changed: set[int] = set()
+        for event, users in enumerate(self._attendee_sets):
+            if users:
+                rows = np.fromiter(users, dtype=np.intp, count=len(users))
+                differs = old.utility[rows, event] != new.utility[rows, event]
+                changed.update(rows[differs].tolist())
+        return changed
+
+
+def _units_of(utility: np.ndarray, user: int, plan: list[int]) -> int:
+    """``user``'s exact utility over ``plan``, in units of 2**-1074."""
+    return exact_units(utility[user, plan].tolist()) if plan else 0
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ graph resolves:
   (inheritance-aware lookup),
 * indirect dispatch through ``functools.partial`` and the executor
   wrappers ``run_in_executor``/``asyncio.to_thread`` (plus the repo's
-  ``Tenant.run_write``/``PlanningApp._read`` launder helpers) — edges
-  crossing an executor boundary are marked ``via_executor`` so RL009
-  knows the callee runs off the event loop,
+  ``Tenant.run_write``/``PlanningApp._read``/``off_loop`` launder
+  helpers) — edges crossing an executor boundary are marked
+  ``via_executor`` so RL009 knows the callee runs off the event loop,
 * ``@property`` reads (an attribute access becomes a call edge to the
   getter).
 
@@ -38,7 +38,7 @@ from repro.lint.annotations import GuardDeclarations, declarations_for_span
 from repro.lint.context import ModuleContext, dotted_name
 
 EXECUTOR_WRAPPERS = frozenset(
-    {"run_in_executor", "to_thread", "run_write", "_read"}
+    {"run_in_executor", "to_thread", "run_write", "_read", "off_loop"}
 )
 _LOCK_FACTORIES = {
     "threading.Lock": False,  # value: reentrant?

@@ -13,7 +13,9 @@ single-writer worker (:meth:`repro.service.tenants.Tenant.run_write`),
 and reads and tenant builds hop onto the default executor through
 :meth:`PlanningApp._read` (the platform's own locks make reads
 consistent).  Each frame makes at most one hop; only a create that
-shutdown overtakes makes a second, to seal what it built.
+shutdown overtakes makes a second, to seal what it built.  Every hop
+goes through :func:`repro.service.tenants.off_loop`, which carries the
+caller's context (the active recorder and span path) onto the thread.
 
 Errors map to HTTP statuses via :data:`repro.service.protocol
 .HTTP_STATUS`; over WebSocket the envelope's ``ok``/``error`` fields
@@ -44,7 +46,7 @@ from repro.service.protocol import (
     parse_frame,
     require,
 )
-from repro.service.tenants import Tenant, TenantManager, TenantSpec
+from repro.service.tenants import Tenant, TenantManager, TenantSpec, off_loop
 
 
 def _best_effort_id(raw: str | bytes) -> Any:
@@ -159,7 +161,7 @@ class PlanningApp:
             )
 
     async def _read(self, fn: Callable[[], Any]) -> Any:
-        return await asyncio.get_running_loop().run_in_executor(None, fn)
+        return await off_loop(fn)
 
     async def _do_ping(self, frame: dict[str, Any]) -> dict[str, Any]:
         return {"pong": True, "tenants": len(self.manager)}
@@ -249,12 +251,13 @@ class PlanningApp:
 
     async def _do_summary(self, frame: dict[str, Any]) -> dict[str, Any]:
         tenant = self._published_tenant(frame)
-        audit = await self._read(tenant.platform.snapshot)
-        return {
-            "audit": audit,
-            "stats": tenant.platform.stats(),
-            "seq": tenant.seq,
-        }
+
+        def read() -> tuple[dict[str, float], dict[str, int]]:
+            # Both take the platform's queue lock: off the loop.
+            return tenant.platform.snapshot(), tenant.platform.stats()
+
+        audit, stats = await self._read(read)
+        return {"audit": audit, "stats": stats, "seq": tenant.seq}
 
     async def _do_plan_summary(
         self, frame: dict[str, Any]

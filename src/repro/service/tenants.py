@@ -27,6 +27,7 @@ auditing, unpublished ones from their regenerated instance.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import json
 import re
 from contextlib import contextmanager
@@ -149,12 +150,32 @@ class TenantSpec:
         return GreedySolver(seed=self.seed)
 
 
+async def off_loop(
+    fn: Callable[[], T], context: contextvars.Context | None = None
+) -> T:
+    """Run ``fn`` on the loop's default executor inside ``context``, by
+    default a copy of the caller's.
+
+    ``loop.run_in_executor`` runs a job in the worker thread's own
+    context, so the recorder and span path the caller installed would
+    not follow it, and every counter recorded inside would go to the
+    ``NullRecorder``.  Every executor hop in the service goes through
+    here.
+    """
+    if context is None:
+        context = contextvars.copy_context()
+    loop = asyncio.get_running_loop()
+    return await loop.run_in_executor(None, context.run, fn)
+
+
 @dataclass
 class _Job:
-    """One unit of work in a tenant worker's inbox."""
+    """One unit of work in a tenant worker's inbox, with the context of
+    the frame that submitted it."""
 
     fn: Callable[[], Any]
     future: asyncio.Future = field(repr=False)
+    context: contextvars.Context = field(repr=False)
 
 
 _STOP = object()
@@ -226,13 +247,12 @@ class Tenant:
 
     async def _run(self) -> None:
         assert self._inbox is not None
-        loop = asyncio.get_running_loop()
         while True:
             job = await self._inbox.get()
             if job is _STOP:
                 break
             try:
-                result = await loop.run_in_executor(None, job.fn)
+                result = await off_loop(job.fn, job.context)
             except Exception as exc:  # delivered to the one caller
                 if not job.future.done():
                     job.future.set_exception(exc)
@@ -257,7 +277,8 @@ class Tenant:
         future: asyncio.Future = (
             asyncio.get_running_loop().create_future()
         )
-        await self._inbox.put(_Job(fn=fn, future=future))
+        job = _Job(fn=fn, future=future, context=contextvars.copy_context())
+        await self._inbox.put(job)
         self._obs.gauge(
             "service.tenant_queue_depth", float(self._inbox.qsize())
         )
@@ -275,9 +296,7 @@ class Tenant:
             await self._inbox.put(_STOP)
             await self._worker
             self._worker = None
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.platform.close
-        )
+        await off_loop(self.platform.close)
 
 
 class TenantManager:

@@ -10,16 +10,20 @@ import asyncio
 import http.client
 import json
 import socket
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.iep.operations import BudgetChange
+from repro.obs import Recorder, get_recorder, recording
 from repro.service import (
     PROTOCOL_VERSION,
+    PlanningApp,
     ServiceClient,
     ServiceError,
     ServiceThread,
+    TenantManager,
     WebSocketClient,
     ws,
 )
@@ -412,3 +416,75 @@ def test_each_frame_makes_at_most_one_executor_hop(tmp_path):
         client.tenants()
         client.healthz()
         assert executor.jobs == before
+
+
+def _frame(action: str, **fields) -> str:
+    return json.dumps({"v": PROTOCOL_VERSION, "id": action, "action": action,
+                       **fields})
+
+
+async def _published_app(root):
+    """A PlanningApp over one published tenant, without a server."""
+    manager = TenantManager(root, fsync=False)
+    app = PlanningApp(manager)
+    spec = {"name": "t", "kind": "meetup", "users": 8, "events": 4}
+    for frame in (_frame("create", spec=spec), _frame("publish", tenant="t")):
+        response, status = await app.dispatch_raw(frame)
+        assert status == 200, response
+    return manager, app
+
+
+def test_summary_leaves_the_loop_free_while_the_queue_lock_is_held(tmp_path):
+    """``summary`` takes the platform's queue lock in its executor hop,
+    never on the loop: a ``ping`` is answered while another thread holds
+    the lock."""
+    holding = threading.Event()
+    release = threading.Event()
+
+    async def probe() -> bool:
+        manager, app = await _published_app(tmp_path)
+        platform = manager.get("t").platform
+        # Only the stats read contends: the audit returns at once.
+        platform.snapshot = lambda: {"utility": 0.0}
+
+        def hold() -> None:
+            with platform._queue_lock:
+                holding.set()
+                release.wait(timeout=5)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        holding.wait(timeout=10)
+        summary = asyncio.ensure_future(
+            app.dispatch_raw(_frame("summary", tenant="t"))
+        )
+        await asyncio.sleep(0.05)
+        pong, status = await app.dispatch_raw(_frame("ping"))
+        answered_while_held = platform._queue_lock.locked() and status == 200
+        release.set()
+        response, status = await summary
+        assert status == 200 and "stats" in response, response
+        holder.join(timeout=10)
+        await manager.close_all()
+        return answered_while_held
+
+    assert asyncio.run(probe())
+
+
+def test_counters_recorded_off_loop_reach_the_recorder(tmp_path):
+    """Jobs run through ``_read`` and ``run_write`` see the recorder the
+    frame's context installed (``loop.run_in_executor`` alone drops it)."""
+
+    async def probe(recorder: Recorder) -> None:
+        manager, app = await _published_app(tmp_path)
+        with recording(recorder):
+            await app._read(lambda: get_recorder().count("probe.read"))
+            await manager.get("t").run_write(
+                lambda: get_recorder().count("probe.write")
+            )
+        await manager.close_all()
+
+    recorder = Recorder()
+    asyncio.run(probe(recorder))
+    assert recorder.counters["probe.read"] == 1
+    assert recorder.counters["probe.write"] == 1
