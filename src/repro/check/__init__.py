@@ -23,10 +23,8 @@ state honest:
   :func:`run_twin`; see ``docs/durability.md``) and ``service`` (the
   real client/server loop in lockstep with an in-process oracle; see
   ``docs/service.md``);
-* :mod:`repro.check.lockdep` instruments ``threading`` lock creation to
-  record the runtime lock-acquisition order (cross-checked against the
-  static RL010 declared-order table) and heartbeats the service event
-  loop to catch stalls — rides along with the service fuzz target under
+* :class:`LoopWatchdog` heartbeats the service event loop to catch
+  stalls — rides along with the service fuzz target under
   ``REPRO_SHADOW_CHECKS=1``.
 
 See ``docs/correctness.md`` for the full guide.
@@ -43,13 +41,6 @@ from repro.check.fuzz import (
     run_fuzz,
     run_twin,
 )
-from repro.check.lockdep import (
-    LockDep,
-    LockDepSummary,
-    LoopWatchdog,
-    lockdep_checks,
-    maybe_lockdep,
-)
 from repro.check.shadow import (
     ENV_VAR,
     ShadowCheckError,
@@ -58,6 +49,7 @@ from repro.check.shadow import (
     shadow_checks,
     shadow_checks_enabled,
 )
+from repro.check.watchdog import LoopWatchdog
 
 __all__ = [
     "ENV_VAR",
@@ -68,15 +60,11 @@ __all__ = [
     "FuzzReport",
     "FuzzSummary",
     "InvariantAuditor",
-    "LockDep",
-    "LockDepSummary",
     "LoopWatchdog",
     "ShadowCheckError",
     "ShadowStats",
     "TwinState",
     "fuzz_instance",
-    "lockdep_checks",
-    "maybe_lockdep",
     "maybe_shadow_checks",
     "run_fuzz",
     "run_twin",

@@ -29,8 +29,11 @@ are shared; each target contributes only its checks:
     the batched/durable stack) in lockstep with an in-process
     :class:`EBSNPlatform` oracle: same accept/reject verdict and
     bit-identical utility per frame, then equal plan summary and
-    applied log at the end.  Under ``REPRO_SHADOW_CHECKS=1`` the run is
-    instrumented by :mod:`repro.check.lockdep`.
+    applied log at the end.  Between submits, ``plan``/``attendees``/
+    ``summary`` frames are pipelined on a second connection, so reads
+    overlap writes; each answer must equal the oracle's state at the
+    ``seq`` it echoes.  Under ``REPRO_SHADOW_CHECKS=1`` a
+    :class:`~repro.check.watchdog.LoopWatchdog` heartbeats the loop.
 
 Everything is seeded: a failure prints the one-line command that
 replays exactly its seed, sizes and target.
@@ -47,7 +50,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.check.auditor import CacheMismatch, InvariantAuditor
-from repro.check.lockdep import LockDepSummary, LoopWatchdog, maybe_lockdep
+from repro.check.shadow import shadow_checks_enabled
+from repro.check.watchdog import LoopWatchdog
 from repro.core.constraints import check_plan
 from repro.core.gepc.greedy import GreedySolver
 from repro.core.iep.engine import IEPEngine
@@ -131,14 +135,12 @@ class FuzzSummary:
 
     target: str = "engine"
     reports: list[FuzzReport] = field(default_factory=list)
-    #: Populated when the service run was instrumented
+    #: Advisory event-loop stalls, when the service run was watched
     #: (``REPRO_SHADOW_CHECKS=1``).
-    lockdep: LockDepSummary | None = None
+    stalls: list[str] | None = None
 
     @property
     def ok(self) -> bool:
-        if self.lockdep is not None and not self.lockdep.ok:
-            return False
         return all(report.ok for report in self.reports)
 
     @property
@@ -463,7 +465,6 @@ def _check_batched_stream(
         for violation in check_plan(batched.instance, batched.plan):
             report.violations.append(f"batched: {violation}")
         report.checks += 1 + result.violations
-    batched.drain()
 
     serial = EBSNPlatform(instance)
     serial.publish_plans()
@@ -789,43 +790,102 @@ def _recovery_mismatches(
 def _service_session(summary: FuzzSummary) -> Iterator[ServiceThread]:
     """One in-process service shared by every seed.
 
-    Under ``REPRO_SHADOW_CHECKS=1`` lockdep is installed before the
-    service starts, so the manager/tenant/platform locks are all
-    created through the instrumented factories, and a watchdog thread
-    heartbeats the service event loop to catch blocking work that
-    escaped the RL009 executor discipline.
+    Under ``REPRO_SHADOW_CHECKS=1`` a watchdog thread heartbeats the
+    service event loop to catch blocking work that escaped the RL009
+    executor discipline.
     """
-    with maybe_lockdep() as dep:
-        with (
-            tempfile.TemporaryDirectory(prefix="servicefuzz-") as root,
-            ServiceThread(root) as service,
-        ):
-            watchdog = None
-            if dep is not None and service.loop is not None:
-                watchdog = LoopWatchdog(service.loop, sink=dep.stalls).start()
-            try:
-                yield service
-            finally:
-                if watchdog is not None:
-                    watchdog.stop()
-    if dep is not None:
-        summary.lockdep = dep.summarize()
+    with (
+        tempfile.TemporaryDirectory(prefix="servicefuzz-") as root,
+        ServiceThread(root) as service,
+    ):
+        watchdog = None
+        if shadow_checks_enabled() and service.loop is not None:
+            summary.stalls = []
+            watchdog = LoopWatchdog(service.loop, sink=summary.stalls).start()
+        try:
+            yield service
+        finally:
+            if watchdog is not None:
+                watchdog.stop()
+
+
+def _send_reads(
+    reader: WebSocketClient,
+    tenant: str,
+    rng: random.Random,
+    config: FuzzConfig,
+) -> list[tuple[str, int]]:
+    """Pipeline one ``plan``, one ``attendees`` and one ``summary``."""
+    reads = [
+        ("plan", rng.randrange(config.n_users)),
+        ("attendees", rng.randrange(config.n_events)),
+        ("summary", 0),
+    ]
+    for action, target in reads:
+        if action == "plan":
+            reader.send(action, tenant=tenant, user=target)
+        elif action == "attendees":
+            reader.send(action, tenant=tenant, event=target)
+        else:
+            reader.send(action, tenant=tenant)
+    return reads
+
+
+def _read_mismatch(
+    action: str,
+    target: int,
+    response: dict[str, Any],
+    states: dict[int, TwinState],
+    where: str,
+) -> CacheMismatch | None:
+    """``None`` when a read's answer equals the oracle at its ``seq``."""
+    seq = response["seq"]
+    state = states.get(seq)
+    if state is None:
+        return CacheMismatch(
+            "service_read_seq", seq, max(states),
+            detail=f"{where}: {action} echoed a seq the oracle never had",
+        )
+    assignments = state.summary.assignments
+    if action == "plan":
+        served: object = tuple(sorted(response["events"]))
+        expected: object = assignments[target]
+    elif action == "attendees":
+        served = response["users"]
+        expected = [
+            user for user, events in enumerate(assignments)
+            if target in events
+        ]
+    else:
+        served = (response["audit"]["utility"],
+                  response["audit"]["violations"])
+        expected = (state.utility, 0.0)
+    if served == expected:
+        return None
+    return CacheMismatch(
+        f"service_read_{action}", served, expected,
+        detail=f"{where}: {action} {target} at seq {seq}",
+    )
 
 
 def _service_seed(
     seed: int, config: FuzzConfig, service: ServiceThread
 ) -> list[FuzzReport]:
     """Frames carry one operation each, so the wire order *is* the
-    serial order and the oracle needs no coalescing model."""
+    serial order and the oracle needs no coalescing model.  Reads
+    pipelined on a second connection land before, during or after each
+    submit; the oracle's state after every seq is kept to check them."""
     report = FuzzReport(seed=seed, label=f"seed {seed}")
     tenant = f"fuzz-{seed}"
     oracle = EBSNPlatform(
         fuzz_instance(seed, config), solver=GreedySolver(seed=seed)
     )
+    rng = random.Random(seed)
 
     with (
         ServiceClient(service.host, service.port) as http_client,
         WebSocketClient(service.host, service.port) as ws_client,
+        WebSocketClient(service.host, service.port) as reader,
     ):
         http_client.create_tenant(
             {
@@ -850,12 +910,22 @@ def _service_seed(
 
         stream = OperationStream(seed=seed)
         accepted: list[AtomicOperation] = []
+        states = {0: TwinState(oracle_utility, PlanSummary.of(oracle.plan))}
         for step in range(config.operations):
             operation = next(
                 iter(stream.mixed(oracle.instance, oracle.plan, 1))
             )
-            client = ws_client if step % 2 else http_client
-            result = client.submit(tenant, [operation])
+            if step % 2:
+                # The submit goes out first, so the reads race its apply.
+                ws_client.send(
+                    "submit", tenant=tenant,
+                    ops=[operation_to_dict(operation)],
+                )
+                reads = _send_reads(reader, tenant, rng, config)
+                result = ws_client.receive()
+            else:
+                reads = _send_reads(reader, tenant, rng, config)
+                result = http_client.submit(tenant, [operation])
             report.operations += 1
 
             oracle_applied = True
@@ -863,8 +933,18 @@ def _service_seed(
                 entry = oracle.submit(operation)
             except REJECTION_ERRORS:
                 oracle_applied = False
-            report.checks += 2
+            states[step + 1] = TwinState(
+                oracle.audit()["utility"], PlanSummary.of(oracle.plan)
+            )
             where = f"seed {seed} step {step} ({type(operation).__name__})"
+            for action, target in reads:
+                report.checks += 1
+                mismatch = _read_mismatch(
+                    action, target, reader.receive(), states, where
+                )
+                if mismatch is not None:
+                    report.mismatches.append(mismatch)
+            report.checks += 2
             if result["applied"] != int(oracle_applied):
                 report.mismatches.append(CacheMismatch(
                     "service_acceptance", result["applied"],

@@ -208,7 +208,6 @@ def _simulate_batched(instance, solver, args: argparse.Namespace) -> int:
             f"applied={len(result.applied)} rejected={len(result.rejected)} "
             f"utility={result.utility:.1f}"
         )
-    platform.drain()
     audit = platform.snapshot()
     stats = platform.stats()
     print(
@@ -288,19 +287,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             [[value for _, value in columns]],
         )
     )
-    if summary.lockdep is not None:
-        dep = summary.lockdep
-        print(
-            f"lockdep: {dep.locks} lock(s), {dep.acquisitions} "
-            f"acquisition(s), {dep.edges} order edge(s) "
-            f"({dep.identified} mapped to declared identities), "
-            f"{len(dep.violations)} violation(s), "
-            f"{len(dep.cycles)} cycle(s), {len(dep.stalls)} "
-            "loop stall(s)"
-        )
-        for problem in dep.violations + dep.cycles:
-            print(f"  {problem}", file=sys.stderr)
-        for stall in dep.stalls[:5]:
+    if summary.stalls is not None:
+        print(f"watchdog: {len(summary.stalls)} loop stall(s)")
+        for stall in summary.stalls[:5]:
             print(f"  advisory: {stall}", file=sys.stderr)
     for report in summary.failures():
         print(f"{report.label} FAILED:", file=sys.stderr)

@@ -30,7 +30,6 @@ so the dispatch is swappable; it never *writes* plan or instance caches.
 from __future__ import annotations
 
 import os
-import threading
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -370,8 +369,9 @@ class SplicePlanes:
 # --------------------------------------------------------------------- #
 
 _STRATEGIES: dict[str, KernelStrategy] = {}
-_ACTIVE: KernelStrategy | None = None  # guarded-by: _ACTIVE_LOCK
-_ACTIVE_LOCK = threading.Lock()
+# Resolved lazily from the env flag.  Two threads racing the first
+# resolve both store the same registry object, so no lock is needed.
+_ACTIVE: KernelStrategy | None = None
 
 
 def register_strategy(strategy: KernelStrategy) -> KernelStrategy:
@@ -404,26 +404,19 @@ def active_kernel() -> KernelStrategy:
     global _ACTIVE
     active = _ACTIVE
     if active is None:
-        with _ACTIVE_LOCK:
-            if _ACTIVE is None:
-                _ACTIVE = resolve_strategy(
-                    os.environ.get(ENV_VAR, DEFAULT_STRATEGY)
-                )
-            active = _ACTIVE
+        active = _ACTIVE = resolve_strategy(
+            os.environ.get(ENV_VAR, DEFAULT_STRATEGY)
+        )
     return active
 
 
 def set_kernel(name: str | None) -> KernelStrategy:
     """Pin the active strategy (``None`` re-resolves from the env flag)."""
     global _ACTIVE
-    with _ACTIVE_LOCK:
-        if name is None:
-            _ACTIVE = resolve_strategy(
-                os.environ.get(ENV_VAR, DEFAULT_STRATEGY)
-            )
-        else:
-            _ACTIVE = resolve_strategy(name)
-        return _ACTIVE
+    _ACTIVE = resolve_strategy(
+        os.environ.get(ENV_VAR, DEFAULT_STRATEGY) if name is None else name
+    )
+    return _ACTIVE
 
 
 class use_kernel:
@@ -440,15 +433,13 @@ class use_kernel:
 
     def __enter__(self) -> KernelStrategy:
         global _ACTIVE
-        with _ACTIVE_LOCK:
-            self._previous = _ACTIVE
-            _ACTIVE = resolve_strategy(self._name)
-            return _ACTIVE
+        self._previous = _ACTIVE
+        _ACTIVE = resolve_strategy(self._name)
+        return _ACTIVE
 
     def __exit__(self, *exc_info: object) -> None:
         global _ACTIVE
-        with _ACTIVE_LOCK:
-            _ACTIVE = self._previous
+        _ACTIVE = self._previous
 
 
 # --------------------------------------------------------------------- #

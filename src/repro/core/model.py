@@ -523,10 +523,7 @@ class Instance:
                 instance._distances = self._distances
             else:
                 instance._distances = self._distances.with_event_location(
-                    event_id,
-                    updated.location,
-                    [u.location for u in self.users],
-                    [e.location for e in events],
+                    event_id, updated.location, self.users, events
                 )
         if self._candidates is not None:
             # Candidate sets are purely geometric (budget vs round trip),
@@ -661,9 +658,7 @@ class Instance:
         )
         if self._distances is not None:
             instance._distances = self._distances.with_appended_event(
-                event.location,
-                [u.location for u in self.users],
-                [e.location for e in self.events],
+                event.location, self.users, self.events
             )
         if self._candidates is not None:
             instance._candidates = self._candidates.with_appended_event(

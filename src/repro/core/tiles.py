@@ -42,6 +42,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.geo.distance import Located
 from repro.geo.metrics import EUCLIDEAN, TravelMetric
 from repro.geo.point import Point
 
@@ -317,14 +318,16 @@ class TiledDistanceMatrix:
         self,
         event: int,
         location: Point,
-        user_locations: Sequence[Point],
-        event_locations: Sequence[Point],
+        users: Sequence[Located],
+        events: Sequence[Located],
     ) -> "TiledDistanceMatrix":
-        """A patched copy for one moved event (original untouched)."""
+        """A patched copy for one moved event (original untouched).
+
+        Distances come from coordinates, so the other locations are not
+        read.
+        """
         clone = self.copy()
-        clone.replace_event_location(
-            event, location, user_locations, event_locations
-        )
+        clone.replace_event_location(event, location, (), ())
         return clone
 
     def replace_user_location(
@@ -339,8 +342,8 @@ class TiledDistanceMatrix:
     def with_appended_event(
         self,
         location: Point,
-        user_locations: Sequence[Point],
-        event_locations: Sequence[Point],
+        users: Sequence[Located],
+        events: Sequence[Located],
     ) -> "TiledDistanceMatrix":
         """An extended copy with one more event (IEP ``NewEvent``)."""
         return TiledDistanceMatrix(

@@ -9,10 +9,18 @@ calls.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import Protocol
 
 import numpy as np
 
 from repro.geo.point import Point
+
+
+class Located(Protocol):
+    """Anything with a location (``User``, ``Event``)."""
+
+    @property
+    def location(self) -> Point: ...
 
 
 def euclidean(a: Point, b: Point) -> float:
@@ -196,32 +204,39 @@ class DistanceMatrix:
         self,
         event: int,
         location: Point,
-        user_locations: Sequence[Point],
-        event_locations: Sequence[Point],
+        users: Sequence[Located],
+        events: Sequence[Located],
     ) -> "DistanceMatrix":
         """A patched copy for one moved event (the original is untouched).
 
         This is the cache-preserving path of ``Instance.with_event``: the
         unchanged ``(n - 1) x (m - 1)`` bulk is a memcpy instead of an
-        O(n * m) metric recompute.
+        O(n * m) metric recompute.  ``users``/``events`` are the *new*
+        state's; their locations are read here, since only a cached
+        plane needs them.
         """
         clone = self.copy()
         clone.replace_event_location(
-            event, location, user_locations, event_locations
+            event,
+            location,
+            [user.location for user in users],
+            [other.location for other in events],
         )
         return clone
 
     def with_appended_event(
         self,
         location: Point,
-        user_locations: Sequence[Point],
-        event_locations: Sequence[Point],
+        users: Sequence[Located],
+        events: Sequence[Located],
     ) -> "DistanceMatrix":
         """An extended copy with one more event column (IEP ``NewEvent``).
 
-        ``event_locations`` are the *existing* venues (the new one is only
+        ``events`` are the *existing* events (the new venue is only
         ``location``); all previously cached distances are carried over.
         """
+        user_locations = [user.location for user in users]
+        event_locations = [other.location for other in events]
         clone = object.__new__(DistanceMatrix)
         clone._metric = self._metric
         if user_locations:

@@ -1,66 +1,37 @@
-"""Shared parsing of concurrency annotations in comments.
+"""Parsing of the ``# loop-confined`` concurrency annotation.
 
-Two markers are recognised, attached to the physical line of an attribute
-assignment (``self.x = ...`` or ``self.x: T = ...``):
-
-``# guarded-by: <lock>``
-    The attribute may only be touched while ``self.<lock>`` is held
-    (RL003 checks this within a method, RL011 across the call graph).
-    Historical spellings ``guarded by`` and ``guarded_by``, with or
-    without a ``self.`` prefix on the lock name, parse identically so
-    one inconsistent comment cannot silently disable the check.
-
-``# loop-confined``
-    The attribute belongs to the owning event loop: it must not be
-    touched from code that runs on executor threads (RL011 flags
-    accesses reachable through ``run_in_executor``/``to_thread``).
+The marker is attached to the physical line of an attribute assignment
+(``self.x = ...`` or ``self.x: T = ...``): the attribute belongs to the
+owning event loop and must not be touched from code that runs on
+executor threads (RL011 flags accesses reachable through
+``run_in_executor``/``to_thread``).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from repro.lint.context import ModuleContext
 
-GUARDED_BY_RE = re.compile(
-    r"guarded[-_ ]by:?\s*(?:self\.)?([A-Za-z_]\w*)"
-)
 LOOP_CONFINED_RE = re.compile(r"\bloop-confined\b")
 SELF_ATTR_RE = re.compile(r"self\.([A-Za-z_]\w*)")
 
 
-@dataclass(frozen=True)
-class GuardDeclarations:
-    """Per-class annotation tables keyed by attribute name."""
-
-    guarded: dict[str, tuple[str, int]]  # attr -> (lock attr, decl line)
-    loop_confined: dict[str, int]  # attr -> decl line
-
-
-def declarations_for_span(
+def loop_confined_for_span(
     context: ModuleContext, first_line: int, last_line: int
-) -> GuardDeclarations:
-    """Collect annotation markers between two physical lines (inclusive).
+) -> dict[str, int]:
+    """``attr -> declaration line`` for markers between two physical
+    lines (inclusive).
 
     The marker must share a line with a ``self.<attr>`` assignment — the
     attribute named there is the one being declared.
     """
-    guarded: dict[str, tuple[str, int]] = {}
-    loop_confined: dict[str, int] = {}
+    confined: dict[str, int] = {}
     for line in range(first_line, last_line + 1):
         comment = context.comments.get(line)
-        if comment is None:
-            continue
-        guard = GUARDED_BY_RE.search(comment)
-        confined = LOOP_CONFINED_RE.search(comment)
-        if guard is None and confined is None:
+        if comment is None or not LOOP_CONFINED_RE.search(comment):
             continue
         attr = SELF_ATTR_RE.search(context.line_code(line))
-        if attr is None:
-            continue  # marker must sit on the attribute's assignment
-        if guard is not None:
-            guarded[attr.group(1)] = (guard.group(1), line)
-        if confined is not None:
-            loop_confined[attr.group(1)] = line
-    return GuardDeclarations(guarded=guarded, loop_confined=loop_confined)
+        if attr is not None:
+            confined[attr.group(1)] = line
+    return confined

@@ -16,16 +16,13 @@ graph resolves:
 * ``@property`` reads (an attribute access becomes a call edge to the
   getter).
 
-Alongside edges it records, per function, the threading-lock
-acquisitions (``with self._lock:`` / ``lock.acquire()``), the
-``guarded-by:``/``loop-confined`` attribute accesses with the lock set
-held at each site, and per class the lock attributes and annotation
-tables.  :mod:`repro.lint.interproc` turns this into effect summaries.
+Alongside edges it records, per function, the ``loop-confined``
+attribute accesses, and per class the annotation table.
+:mod:`repro.lint.interproc` turns this into effect summaries.
 
 Known limits (documented in ``docs/linting.md``): calls through builtin
-dunder dispatch (``len(x)`` → ``__len__``), locks aliased into local
-variables, and receivers whose type inference fails resolve to opaque
-externals and are not followed.
+dunder dispatch (``len(x)`` → ``__len__``) and receivers whose type
+inference fails resolve to opaque externals and are not followed.
 """
 
 from __future__ import annotations
@@ -34,38 +31,13 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.lint.annotations import GuardDeclarations, declarations_for_span
+from repro.lint.annotations import loop_confined_for_span
 from repro.lint.context import ModuleContext, dotted_name
 
 EXECUTOR_WRAPPERS = frozenset(
     {"run_in_executor", "to_thread", "run_write", "_read", "off_loop"}
 )
-_LOCK_FACTORIES = {
-    "threading.Lock": False,  # value: reentrant?
-    "threading.RLock": True,
-}
 _PROPERTY_DECORATORS = {"property", "cached_property"}
-
-
-@dataclass(frozen=True)
-class LockSite:
-    """One lock object, identified by its declaring attribute."""
-
-    identity: str  # "module:Class.attr" or "module:NAME"
-    attr: str | None  # bare attribute name for instance locks
-    path: str
-    line: int
-    reentrant: bool
-
-
-@dataclass(frozen=True)
-class Acquisition:
-    """One lock-acquisition site (``with lock:`` or ``lock.acquire()``)."""
-
-    site: LockSite  # the lock's declaration
-    line: int  # where this acquisition happens
-    col: int
-    held: tuple["Acquisition", ...]  # locks already held here
 
 
 @dataclass(frozen=True)
@@ -77,20 +49,6 @@ class CallSite:
     line: int
     col: int
     via_executor: bool
-    held: tuple[Acquisition, ...]
-
-
-@dataclass(frozen=True)
-class GuardAccess:
-    """An access to a ``guarded-by:`` attribute, with held locks."""
-
-    owner: str  # class key owning the attribute
-    attr: str
-    needed: str  # lock identity that must be held
-    line: int
-    col: int
-    held: tuple[str, ...]  # lock identities held at the access
-    cross_class: bool
 
 
 @dataclass(frozen=True)
@@ -118,8 +76,6 @@ class FunctionInfo:
     node: ast.FunctionDef | ast.AsyncFunctionDef = field(repr=False)
     returns: str | None = None  # resolved return-annotation class key
     calls: list[CallSite] = field(default_factory=list)
-    acquisitions: list[Acquisition] = field(default_factory=list)
-    guard_accesses: list[GuardAccess] = field(default_factory=list)
     confined_accesses: list[ConfinedAccess] = field(default_factory=list)
 
 
@@ -136,10 +92,7 @@ class ClassInfo:
     methods: dict[str, str] = field(default_factory=dict)
     properties: dict[str, str] = field(default_factory=dict)
     attr_types: dict[str, str] = field(default_factory=dict)
-    lock_attrs: dict[str, LockSite] = field(default_factory=dict)
-    declarations: GuardDeclarations = field(
-        default_factory=lambda: GuardDeclarations({}, {})
-    )
+    loop_confined: dict[str, int] = field(default_factory=dict)
     bases: list[str] = field(default_factory=list)
 
 
@@ -152,12 +105,11 @@ class _ModuleInfo:
 
 
 class CallGraph:
-    """The resolved project call graph plus lock/annotation tables."""
+    """The resolved project call graph plus annotation tables."""
 
     def __init__(self) -> None:
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
-        self.module_locks: dict[str, LockSite] = {}
         self._modules: dict[str, _ModuleInfo] = {}
         self._modules_by_length: list[str] = []
 
@@ -235,20 +187,6 @@ class CallGraph:
                     walk(node.body, qual + ".", key, True)
 
         walk(context.tree.body, "", None, False)
-        for node in context.tree.body:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    reentrant = self._lock_factory(mod, node.value)
-                    if reentrant is not None:
-                        identity = f"{module}:{target.id}"
-                        self.module_locks[identity] = LockSite(
-                            identity=identity,
-                            attr=None,
-                            path=context.path,
-                            line=node.lineno,
-                            reentrant=reentrant,
-                        )
 
     def _collect_imports(self, mod: _ModuleInfo) -> None:
         module = mod.context.module
@@ -279,27 +217,13 @@ class CallGraph:
                     local = alias.asname or alias.name
                     mod.imports[local] = f"{source}.{alias.name}"
 
-    def _lock_factory(
-        self, mod: _ModuleInfo, value: ast.expr
-    ) -> bool | None:
-        """``True``/``False`` (reentrancy) if ``value`` constructs a lock."""
-        if not isinstance(value, ast.Call):
-            return None
-        dotted = dotted_name(value.func)
-        if dotted is None:
-            return None
-        kind, fq = self._resolve_fq(mod, dotted)
-        if kind == "external" and fq in _LOCK_FACTORIES:
-            return _LOCK_FACTORIES[fq]
-        return None
-
     def _resolve_class_tables(self, mod: _ModuleInfo) -> None:
         module = mod.context.module
         for key, info in self.classes.items():
             if info.module != module:
                 continue
             end = info.node.end_lineno or info.node.lineno
-            info.declarations = declarations_for_span(
+            info.loop_confined = loop_confined_for_span(
                 mod.context, info.node.lineno, end
             )
             for base in info.node.bases:
@@ -351,18 +275,6 @@ class CallGraph:
         ):
             return
         attr = target.attr
-        if value is not None:
-            reentrant = self._lock_factory(mod, value)
-            if reentrant is not None and attr not in info.lock_attrs:
-                identity = f"{info.key}.{attr}"
-                info.lock_attrs[attr] = LockSite(
-                    identity=identity,
-                    attr=attr,
-                    path=info.path,
-                    line=node.lineno,
-                    reentrant=reentrant,
-                )
-                return
         resolved: str | None = None
         if annotation is not None:
             resolved = self._resolve_annotation(mod, annotation)
@@ -500,25 +412,9 @@ class CallGraph:
                 return info.attr_types[attr]
         return None
 
-    def lock_attr(self, class_key: str, attr: str) -> LockSite | None:
-        for info in self._mro(class_key):
-            if attr in info.lock_attrs:
-                return info.lock_attrs[attr]
-        return None
-
-    def guarded_decl(
-        self, class_key: str, attr: str
-    ) -> tuple[str, str] | None:
-        """``(lock identity, owner class key)`` for a guarded attribute."""
-        for info in self._mro(class_key):
-            if attr in info.declarations.guarded:
-                lock_attr = info.declarations.guarded[attr][0]
-                return f"{info.key}.{lock_attr}", info.key
-        return None
-
     def confined_decl(self, class_key: str, attr: str) -> str | None:
         for info in self._mro(class_key):
-            if attr in info.declarations.loop_confined:
+            if attr in info.loop_confined:
                 return info.key
         return None
 
@@ -564,16 +460,6 @@ class CallGraph:
                     }
                     for call in fn.calls
                 ],
-                "acquires": sorted(
-                    {acq.site.identity for acq in fn.acquisitions}
-                ),
-            }
-        locks: dict[str, Any] = {}
-        for site in self.iter_lock_sites():
-            locks[site.identity] = {
-                "path": site.path,
-                "line": site.line,
-                "reentrant": site.reentrant,
             }
         classes: dict[str, Any] = {}
         for key in sorted(self.classes):
@@ -583,36 +469,21 @@ class CallGraph:
                 "line": info.line,
                 "bases": info.bases,
                 "attr_types": dict(sorted(info.attr_types.items())),
-                "guarded": {
-                    attr: lock
-                    for attr, (lock, _) in sorted(
-                        info.declarations.guarded.items()
-                    )
-                },
-                "loop_confined": sorted(
-                    info.declarations.loop_confined
-                ),
+                "loop_confined": sorted(info.loop_confined),
             }
         return {
-            "version": 1,
+            "version": 2,
             "modules": {
                 name: info.context.path
                 for name, info in sorted(self._modules.items())
             },
             "functions": functions,
             "classes": classes,
-            "locks": locks,
         }
-
-    def iter_lock_sites(self) -> list[LockSite]:
-        sites = list(self.module_locks.values())
-        for info in self.classes.values():
-            sites.extend(info.lock_attrs.values())
-        return sorted(sites, key=lambda site: site.identity)
 
 
 class _FunctionWalker(ast.NodeVisitor):
-    """Walk one function body, tracking held locks and executor hops."""
+    """Walk one function body, tracking executor hops."""
 
     def __init__(
         self,
@@ -627,7 +498,6 @@ class _FunctionWalker(ast.NodeVisitor):
         self.fn = fn
         self.nested = nested
         self.executor_wrappers = executor_wrappers
-        self.held: list[Acquisition] = []
         self.in_executor = False
         self.local_types = graph._param_types(mod, fn.node)
         for node in _walk_shallow(fn.node):
@@ -660,7 +530,7 @@ class _FunctionWalker(ast.NodeVisitor):
             self.mod, self.local_types, value
         )
 
-    # -- type/lock resolution -----------------------------------------
+    # -- type resolution ----------------------------------------------
 
     def _expr_type(self, expr: ast.expr) -> str | None:
         """Class key of the value ``expr`` evaluates to, if inferable."""
@@ -706,18 +576,6 @@ class _FunctionWalker(ast.NodeVisitor):
             return None
         return kind, target
 
-    def _lock_site(self, expr: ast.expr) -> LockSite | None:
-        """The lock acquired by ``with expr:``, if ``expr`` names one."""
-        if isinstance(expr, ast.Attribute):
-            receiver = self._expr_type(expr.value)
-            if receiver is not None:
-                return self.graph.lock_attr(receiver, expr.attr)
-            return None
-        if isinstance(expr, ast.Name):
-            identity = f"{self.fn.module}:{expr.id}"
-            return self.graph.module_locks.get(identity)
-        return None
-
     # -- recording -----------------------------------------------------
 
     def _record_edge(
@@ -739,30 +597,12 @@ class _FunctionWalker(ast.NodeVisitor):
                     if via_executor is None
                     else via_executor
                 ),
-                held=tuple(self.held),
             )
         )
 
     def _record_callable(
         self, func: ast.expr, node: ast.expr, *, via: bool | None = None
     ) -> None:
-        if isinstance(func, ast.Attribute) and func.attr == "acquire":
-            site = self._lock_site(func.value)
-            if site is not None:
-                self.fn.acquisitions.append(
-                    Acquisition(
-                        site=site,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        held=tuple(self.held),
-                    )
-                )
-                self._record_edge(
-                    node,
-                    external="threading.Lock.acquire",
-                    via_executor=via,
-                )
-                return
         resolved = self._resolve_callable(func)
         if resolved is None:
             return
@@ -825,33 +665,6 @@ class _FunctionWalker(ast.NodeVisitor):
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self.visit(node.body)  # inline: runs in the enclosing context
 
-    def visit_With(self, node: ast.With) -> None:
-        acquired: list[Acquisition] = []
-        for item in node.items:
-            site = self._lock_site(item.context_expr)
-            if site is not None:
-                acquisition = Acquisition(
-                    site=site,
-                    line=item.context_expr.lineno,
-                    col=item.context_expr.col_offset,
-                    held=tuple(self.held) + tuple(acquired),
-                )
-                self.fn.acquisitions.append(acquisition)
-                acquired.append(acquisition)
-            else:
-                self.visit(item.context_expr)
-        self.held.extend(acquired)
-        for stmt in node.body:
-            self.visit(stmt)
-        if acquired:
-            del self.held[-len(acquired):]
-
-    def visit_AsyncWith(self, node: ast.AsyncWith) -> None:
-        for item in node.items:
-            self.visit(item.context_expr)
-        for stmt in node.body:
-            self.visit(stmt)
-
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         wrapper = (
@@ -886,29 +699,8 @@ class _FunctionWalker(ast.NodeVisitor):
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         value = node.value
-        owner: str | None = None
-        is_self = isinstance(value, ast.Name) and value.id == "self"
-        if is_self:
-            owner = self.fn.cls
-        else:
-            owner = self._expr_type(value)
+        owner = self._expr_type(value)
         if owner is not None:
-            decl = self.graph.guarded_decl(owner, node.attr)
-            if decl is not None:
-                needed, owner_key = decl
-                self.fn.guard_accesses.append(
-                    GuardAccess(
-                        owner=owner_key,
-                        attr=node.attr,
-                        needed=needed,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        held=tuple(
-                            acq.site.identity for acq in self.held
-                        ),
-                        cross_class=not is_self,
-                    )
-                )
             confined_owner = self.graph.confined_decl(owner, node.attr)
             if confined_owner is not None:
                 self.fn.confined_accesses.append(

@@ -42,7 +42,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--select", default=None, metavar="CODES",
-        help="comma-separated rule codes to run (e.g. RL001,RL003)",
+        help="comma-separated rule codes to run (e.g. RL001,RL002)",
     )
     parser.add_argument(
         "--rule", default=None, metavar="CODE",

@@ -3,7 +3,7 @@
 Rules never re-read or re-parse files; the engine builds one
 :class:`ModuleContext` per module and every rule walks the same tree.
 Comments (which :mod:`ast` discards) are recovered with :mod:`tokenize`
-so that suppression markers and ``# guarded-by:`` declarations can be
+so that suppression markers and ``# loop-confined`` declarations can be
 attached to their physical lines.
 """
 

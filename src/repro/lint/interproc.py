@@ -1,39 +1,25 @@
 """Interprocedural effect summaries over the project call graph.
 
-Three summaries are computed to a fixpoint over
-:class:`~repro.lint.callgraph.CallGraph`:
+Two analyses run over :class:`~repro.lint.callgraph.CallGraph`:
 
 * **blocking** — for each sync function, the set of blocking primitives
-  it can reach (os.fsync, time.sleep, lock acquisition, WAL appends,
-  ...) with a shortest witness chain of call sites.  Edges marked
+  it can reach (os.fsync, time.sleep, WAL appends, ...) with a shortest
+  witness chain of call sites, computed to a fixpoint.  Edges marked
   ``via_executor`` are *not* followed: work handed to
   ``run_in_executor``/``to_thread`` leaves the event loop.  Calling an
   ``async def`` from sync code only builds a coroutine, so those edges
-  are skipped too.
-* **locks** — for each function, every lock it may transitively
-  acquire, with a witness chain.  All resolved edges are followed
-  (executor hops included: a lock taken on a worker thread still
-  participates in deadlock cycles).
-* **guard exposure** — per class, which ``guarded-by:`` attributes a
-  method can touch without the lock, attributed through self-calls so a
-  public entry point is charged for a helper's unlocked access unless
-  every path in holds the lock.
-
-Recursive cycles in the graph are cut by treating an in-progress callee
-as empty (a fixpoint under-approximation documented in
-``docs/linting.md``).
+  are skipped too.  Recursive cycles in the graph are cut by treating an
+  in-progress callee as empty (a fixpoint under-approximation documented
+  in ``docs/linting.md``).
+* **executor taint** — every function that can run on an executor
+  thread (RL011's ``loop-confined`` check).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.lint.callgraph import (
-    Acquisition,
-    CallGraph,
-    CallSite,
-    FunctionInfo,
-)
+from repro.lint.callgraph import CallGraph, CallSite
 
 #: pattern -> human label.  Three pattern forms: exact dotted externals
 #: ("os.fsync"), any-receiver method names ("?.read_text"), and
@@ -64,8 +50,6 @@ DEFAULT_BLOCKING_CALLS: dict[str, str] = {
     "DurablePlatform.close": "durable close (seal + snapshot)",
 }
 
-LOCK_ACQUIRE_LABEL = "threading lock acquire"
-
 
 @dataclass(frozen=True)
 class Effect:
@@ -75,26 +59,6 @@ class Effect:
     site: tuple[str, int]  # (path, line) of the primitive itself
     chain: tuple[tuple[str, str, int], ...]  # (qualname, path, call line)
 
-
-@dataclass(frozen=True)
-class OrderEdge:
-    """Observed acquisition order: ``first`` held while taking ``second``."""
-
-    first: str
-    second: str
-    function: str  # qualname of the function holding ``first``
-    witness: tuple[tuple[str, int], ...]  # (path, line) hops to 2nd lock
-
-
-@dataclass(frozen=True)
-class Exposure:
-    """A guarded attribute reachable without its lock from a method."""
-
-    owner: str  # class key owning the attribute
-    attr: str
-    needed: str  # lock identity
-    site: tuple[str, int]  # where the unlocked access happens
-    chain: tuple[tuple[str, str, int], ...]  # call hops from the method
 
 
 def _match_blocking(
@@ -127,9 +91,6 @@ class InterproceduralAnalysis:
         graph: CallGraph,
         *,
         blocking_calls: dict[str, str] | None = None,
-        exempt_methods: frozenset[str] = frozenset(
-            {"__init__", "__del__", "__new__"}
-        ),
     ) -> None:
         self.graph = graph
         self.blocking_calls = (
@@ -137,13 +98,8 @@ class InterproceduralAnalysis:
             if blocking_calls is None
             else blocking_calls
         )
-        self.exempt_methods = exempt_methods
         self._blocking: dict[str, dict[tuple[str, tuple[str, int]], Effect]] = {}
         self._blocking_in_progress: set[str] = set()
-        self._locks: dict[str, dict[str, Effect]] = {}
-        self._locks_in_progress: set[str] = set()
-        self._exposures: dict[str, dict[tuple[str, str, tuple[str, int]], Exposure]] = {}
-        self._exposures_in_progress: set[str] = set()
 
     # -- blocking summaries (RL009) ------------------------------------
 
@@ -165,15 +121,6 @@ class InterproceduralAnalysis:
         self._blocking_in_progress.add(key)
         fn = self.graph.functions[key]
         summary: dict[tuple[str, tuple[str, int]], Effect] = {}
-        for acq in fn.acquisitions:
-            effect = Effect(
-                label=(
-                    f"{LOCK_ACQUIRE_LABEL} ({acq.site.identity})"
-                ),
-                site=(fn.path, acq.line),
-                chain=(),
-            )
-            summary.setdefault((effect.label, effect.site), effect)
         for call in fn.calls:
             if call.via_executor:
                 continue  # laundered: runs off the event loop
@@ -199,157 +146,6 @@ class InterproceduralAnalysis:
                 summary.setdefault((effect.label, effect.site), effect)
         self._blocking_in_progress.discard(key)
         self._blocking[key] = summary
-        return summary
-
-    # -- lock summaries (RL010) ----------------------------------------
-
-    def lock_summary(self, key: str) -> dict[str, Effect]:
-        """Lock identities transitively acquirable from a function."""
-        if key in self._locks:
-            return self._locks[key]
-        if key in self._locks_in_progress:
-            return {}
-        self._locks_in_progress.add(key)
-        fn = self.graph.functions[key]
-        summary: dict[str, Effect] = {}
-        for acq in fn.acquisitions:
-            summary.setdefault(
-                acq.site.identity,
-                Effect(
-                    label=acq.site.identity,
-                    site=(fn.path, acq.line),
-                    chain=(),
-                ),
-            )
-        for call in fn.calls:
-            if call.callee is None:
-                continue
-            callee = self.graph.functions.get(call.callee)
-            if callee is None:
-                continue
-            hop = (callee.qualname, fn.path, call.line)
-            for identity, sub in self.lock_summary(call.callee).items():
-                summary.setdefault(
-                    identity,
-                    Effect(
-                        label=identity,
-                        site=sub.site,
-                        chain=(hop,) + sub.chain,
-                    ),
-                )
-        self._locks_in_progress.discard(key)
-        self._locks[key] = summary
-        return summary
-
-    def order_edges(self) -> list[OrderEdge]:
-        """Every observed lock-acquisition-order edge, with witnesses."""
-        edges: dict[tuple[str, str], OrderEdge] = {}
-
-        def add(
-            first: Acquisition,
-            second_id: str,
-            fn: FunctionInfo,
-            witness: tuple[tuple[str, int], ...],
-        ) -> None:
-            identity = first.site.identity
-            if identity == second_id and first.site.reentrant:
-                return  # re-entrant self-acquisition is fine
-            pair = (identity, second_id)
-            edges.setdefault(
-                pair,
-                OrderEdge(
-                    first=identity,
-                    second=second_id,
-                    function=fn.qualname,
-                    witness=((fn.path, first.line),) + witness,
-                ),
-            )
-
-        for fn in self.graph.functions.values():
-            for acq in fn.acquisitions:
-                for first in acq.held:
-                    add(
-                        first,
-                        acq.site.identity,
-                        fn,
-                        ((fn.path, acq.line),),
-                    )
-            for call in fn.calls:
-                if call.callee is None or not call.held:
-                    continue
-                for identity, sub in self.lock_summary(
-                    call.callee
-                ).items():
-                    hops = tuple(
-                        (path, line) for _, path, line in sub.chain
-                    )
-                    witness = (
-                        ((fn.path, call.line),) + hops + (sub.site,)
-                    )
-                    for first in call.held:
-                        add(first, identity, fn, witness)
-        return list(edges.values())
-
-    # -- guarded exposure (RL011) --------------------------------------
-
-    def exposures(self, key: str) -> list[Exposure]:
-        """Guarded-attr accesses a method exposes without the lock."""
-        return list(self._exposure_summary(key).values())
-
-    def _exposure_summary(
-        self, key: str
-    ) -> dict[tuple[str, str, tuple[str, int]], Exposure]:
-        if key in self._exposures:
-            return self._exposures[key]
-        if key in self._exposures_in_progress:
-            return {}
-        self._exposures_in_progress.add(key)
-        fn = self.graph.functions[key]
-        summary: dict[tuple[str, str, tuple[str, int]], Exposure] = {}
-        if fn.name not in self.exempt_methods:
-            for access in fn.guard_accesses:
-                if access.cross_class:
-                    continue  # reported directly by RL011, not propagated
-                if access.needed in access.held:
-                    continue
-                exposure = Exposure(
-                    owner=access.owner,
-                    attr=access.attr,
-                    needed=access.needed,
-                    site=(fn.path, access.line),
-                    chain=(),
-                )
-                summary.setdefault(
-                    (access.attr, access.needed, exposure.site), exposure
-                )
-            for call in fn.calls:
-                if call.callee is None:
-                    continue
-                callee = self.graph.functions.get(call.callee)
-                if (
-                    callee is None
-                    or callee.cls is None
-                    or callee.cls != fn.cls
-                    or callee.name in self.exempt_methods
-                ):
-                    continue  # only same-class helper attribution
-                held = {acq.site.identity for acq in call.held}
-                hop = (callee.qualname, fn.path, call.line)
-                for sub in self._exposure_summary(call.callee).values():
-                    if sub.needed in held:
-                        continue  # caller holds the lock across the call
-                    exposure = Exposure(
-                        owner=sub.owner,
-                        attr=sub.attr,
-                        needed=sub.needed,
-                        site=sub.site,
-                        chain=(hop,) + sub.chain,
-                    )
-                    summary.setdefault(
-                        (sub.attr, sub.needed, sub.site), exposure
-                    )
-        self._exposures_in_progress.discard(key)
-        self._exposures[key] = summary
         return summary
 
     # -- executor taint (loop-confined checking) -----------------------
@@ -379,121 +175,3 @@ class InterproceduralAnalysis:
                 if call.callee is not None:
                     queue.append(call.callee)
         return tainted
-
-
-def collect_lock_table(graph: CallGraph) -> dict[str, tuple[str, int]]:
-    """``identity -> (path, line)`` for every statically known lock.
-
-    Shared with the runtime lockdep validator
-    (:mod:`repro.check.lockdep`), which maps observed allocation sites
-    back to these identities to cross-check the declared order table.
-    """
-    return {
-        site.identity: (site.path, site.line)
-        for site in graph.iter_lock_sites()
-    }
-
-
-def find_cycles(edges: list[OrderEdge]) -> list[list[OrderEdge]]:
-    """Cycles in the lock-order graph (each as a closed edge path).
-
-    Non-reentrant self-loops arrive as 1-edge cycles; longer cycles are
-    recovered per strongly connected component via DFS.
-    """
-    adjacency: dict[str, dict[str, OrderEdge]] = {}
-    for edge in edges:
-        adjacency.setdefault(edge.first, {})[edge.second] = edge
-        adjacency.setdefault(edge.second, {})
-    cycles: list[list[OrderEdge]] = []
-    for edge in edges:
-        if edge.first == edge.second:
-            cycles.append([edge])
-    for component in _tarjan(adjacency):
-        if len(component) < 2:
-            continue
-        members = set(component)
-        start = min(members)
-        path = _cycle_path(adjacency, start, members)
-        if path:
-            cycles.append(path)
-    return cycles
-
-
-def _cycle_path(
-    adjacency: dict[str, dict[str, OrderEdge]],
-    start: str,
-    members: set[str],
-) -> list[OrderEdge]:
-    """One closed walk through ``start`` inside an SCC."""
-    stack: list[tuple[str, list[OrderEdge]]] = [(start, [])]
-    seen: set[str] = set()
-    while stack:
-        node, path = stack.pop()
-        for successor in sorted(adjacency.get(node, {})):
-            if successor not in members:
-                continue
-            edge = adjacency[node][successor]
-            if successor == start:
-                return path + [edge]
-            if successor in seen:
-                continue
-            seen.add(successor)
-            stack.append((successor, path + [edge]))
-    return []
-
-
-def _tarjan(
-    adjacency: dict[str, dict[str, OrderEdge]]
-) -> list[list[str]]:
-    """Iterative Tarjan SCC over the lock-order graph."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
-    counter = 0
-
-    for root in sorted(adjacency):
-        if root in index:
-            continue
-        work: list[tuple[str, list[str], int]] = [
-            (root, sorted(adjacency[root]), 0)
-        ]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors, position = work.pop()
-            advanced = False
-            while position < len(successors):
-                successor = successors[position]
-                position += 1
-                if successor not in index:
-                    work.append((node, successors, position))
-                    index[successor] = low[successor] = counter
-                    counter += 1
-                    stack.append(successor)
-                    on_stack.add(successor)
-                    work.append(
-                        (successor, sorted(adjacency[successor]), 0)
-                    )
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    low[node] = min(low[node], index[successor])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return components

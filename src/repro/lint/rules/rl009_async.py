@@ -1,15 +1,14 @@
 """RL009 async-blocking-discipline: no blocking primitives on the loop.
 
 The service stack is a single asyncio loop fronting fsync-heavy durable
-platforms; one ``os.fsync`` or contended ``threading.Lock`` reached
-from an ``async def`` stalls every tenant at once.  This rule follows
-the project call graph from each ``async def`` and flags any path to a
-known blocking primitive (``os.fsync``/``fdatasync``, ``time.sleep``,
-blocking file/socket I/O, threading-lock acquisition, ``WriteAheadLog``
-appends, ``DurablePlatform`` applies) that is not laundered through
-``run_in_executor``/``asyncio.to_thread``.  Findings anchor at the call
-site inside the ``async def`` so suppressions stay local; ``--explain``
-prints the full witness chain.
+platforms; one ``os.fsync`` reached from an ``async def`` stalls every
+tenant at once.  This rule follows the project call graph from each
+``async def`` and flags any path to a known blocking primitive
+(``os.fsync``/``fdatasync``, ``time.sleep``, blocking file/socket I/O,
+``WriteAheadLog`` appends, ``DurablePlatform`` applies) that is not
+laundered through ``run_in_executor``/``asyncio.to_thread``.  Findings
+anchor at the call site inside the ``async def`` so suppressions stay
+local; ``--explain`` prints the full witness chain.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ class AsyncBlockingDiscipline(ProjectRule):
     name = "async-blocking-discipline"
     description = (
         "call paths from 'async def' to blocking primitives (fsync, "
-        "sleep, lock acquire, WAL append) must hop through "
+        "sleep, WAL append) must hop through "
         "run_in_executor/to_thread"
     )
     default_options = {
@@ -49,28 +48,6 @@ class AsyncBlockingDiscipline(ProjectRule):
             if not fn.is_async:
                 continue
             seen: set[tuple[int, str, tuple[str, int]]] = set()
-            for acq in fn.acquisitions:
-                key = (
-                    acq.line,
-                    acq.site.identity,
-                    (fn.path, acq.line),
-                )
-                if key in seen:
-                    continue
-                seen.add(key)
-                findings.append(
-                    self.project_finding(
-                        fn.path,
-                        acq.line,
-                        acq.col,
-                        f"async '{fn.qualname}' acquires threading "
-                        f"lock '{acq.site.identity}' on the event "
-                        "loop — an uncontended acquire is cheap but "
-                        "any contention stalls every coroutine; hop "
-                        "through the executor or use asyncio "
-                        "primitives",
-                    )
-                )
             for call in fn.calls:
                 if call.via_executor:
                     continue

@@ -190,8 +190,8 @@ class DurablePlatform:
     Mirrors the in-memory platform's surface (``publish_plans``,
     ``submit``, ``plan_for``, ``attendees_of``, ``audit``, ``log``) so it
     drops into :class:`repro.scale.BatchedPlatform` via its ``platform``
-    parameter.  Single-threaded like its inner platform; concurrency is
-    the batching front-end's job.
+    parameter.  Single-threaded like its inner platform: the service
+    drives it from one writer per tenant.
     """
 
     def __init__(

@@ -9,6 +9,7 @@ IEP engine, keeping an audit log of utilities and negative impacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.constraints import check_plan
 from repro.core.gepc.base import GEPCSolver
@@ -77,7 +78,12 @@ class EBSNPlatform:
 
     @property
     def log(self) -> list[PlatformLogEntry]:
-        return list(self._log)
+        """The audit log: the live list, which only grows at the end.
+
+        A prefix never changes, so a reader on another thread may keep a
+        length and slice later; callers must not mutate it.
+        """
+        return self._log
 
     @property
     def is_planned(self) -> bool:
@@ -195,18 +201,31 @@ class EBSNPlatform:
         # fuzzer, which imports the platform package back.
         from repro.check.auditor import InvariantAuditor
 
-        violations = check_plan(self._instance, self.plan)
-        numbers = {
-            "utility": total_utility(self._instance, self.plan),
-            "total_dif": float(sum(entry.dif for entry in self._log)),
-            "operations": float(len(self._log)),
-            "violations": float(len(violations)),
-            "seconds_total": float(
-                sum(entry.seconds for entry in self._log)
-            ),
-        }
+        numbers = audit_numbers(self._instance, self.plan, self._log)
         if deep:
             report = InvariantAuditor().audit(self.plan)
             numbers["cache_checks"] = float(report.checks)
             numbers["cache_mismatches"] = float(len(report.mismatches))
         return numbers
+
+
+def audit_numbers(
+    instance: Instance,
+    plan: GlobalPlan,
+    log: Sequence[PlatformLogEntry],
+    violations: int | None = None,
+) -> dict[str, float]:
+    """:meth:`EBSNPlatform.audit`'s numbers for one state and its log.
+
+    ``violations`` is ``check_plan``'s count for this state when a
+    caller already took it; otherwise it is counted here.
+    """
+    if violations is None:
+        violations = len(check_plan(instance, plan))
+    return {
+        "utility": total_utility(instance, plan),
+        "total_dif": float(sum(entry.dif for entry in log)),
+        "operations": float(len(log)),
+        "violations": float(violations),
+        "seconds_total": float(sum(entry.seconds for entry in log)),
+    }

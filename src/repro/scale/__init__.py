@@ -5,7 +5,7 @@ See ``docs/scaling.md`` for the design.  The three public pieces:
 * :func:`partition_instance` — deterministic geographic partitioner.
 * :class:`ShardedSolver` — GEPC solver over ``k`` shards, solved in
   shard order, with post-merge boundary repair.
-* :class:`BatchedPlatform` — thread-safe, coalescing operation front-end
+* :class:`BatchedPlatform` — coalescing operation front-end
   over :class:`~repro.platform.service.EBSNPlatform`.
 """
 

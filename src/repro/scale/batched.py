@@ -1,12 +1,8 @@
-"""Concurrent operation serving: a batching front-end over the platform.
+"""Operation batching: a coalescing front-end over the platform.
 
-:class:`EBSNPlatform` applies atomic operations strictly one at a time on
-the caller's thread.  :class:`BatchedPlatform` makes that safe and cheap
-under concurrent traffic:
+:class:`EBSNPlatform` applies atomic operations one at a time.
+:class:`BatchedPlatform` queues them and applies them in batches:
 
-* **Thread-safe queue** — any thread may :meth:`enqueue` operations;
-  reads (:meth:`plan_for`, :meth:`attendees_of`, :meth:`snapshot`) take
-  the state lock, so a reader never observes a half-applied batch.
 * **Coalescing** — queued operations targeting the same entity fold
   before applying (two ``EtaDecrease`` on one event become the tighter
   one; ``TimeChange``/``LocationChange``/``UtilityChange``/
@@ -14,21 +10,23 @@ under concurrent traffic:
   for the full rule table).  The engine then repairs once per surviving
   operation instead of once per submission.
 * **One audit boundary per batch** — :meth:`flush` applies the whole
-  coalesced batch under a single lock and runs ``check_plan`` once at
-  the end, not per operation.
+  coalesced batch and runs ``check_plan`` once at the end, not per
+  operation.
 * **Backpressure stats** — queue depth, coalesce/fold counts, rejected
-  operations, and forced flushes are mirrored to ``repro.obs`` (the
-  recorder active when the platform was constructed, so worker threads
-  report into the owner's trace) and exposed via :meth:`stats`.
+  operations, and forced flushes are mirrored to ``repro.obs`` and
+  exposed via :meth:`stats`.
+
+It is single-threaded, like the platform it wraps: one caller at a time
+(the service's tenant worker is its only writer, and service reads never
+touch it; see :mod:`repro.service.tenants`).
 
 The applied-operation log (:attr:`applied_log`) is the platform's ground
 truth: serially replaying it from the published plan reproduces the
-final state exactly — the invariant the concurrency tests pin.
+final state exactly.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from repro.core.constraints import check_plan
@@ -187,12 +185,12 @@ class BatchRejectionError(RuntimeError):
 
 
 class BatchedPlatform:
-    """A thread-safe, batch-coalescing front-end over :class:`EBSNPlatform`.
+    """A batch-coalescing front-end over :class:`EBSNPlatform`.
 
-    Operations are enqueued from any thread; :meth:`flush` (called
-    explicitly, or automatically by the enqueueing thread once the queue
-    reaches ``max_pending``) coalesces and applies them under one lock
-    with a single ``check_plan`` boundary.
+    Operations are queued with :meth:`enqueue`; :meth:`flush` (called
+    explicitly, or by :meth:`enqueue` once the queue reaches
+    ``max_pending``) coalesces and applies them with a single
+    ``check_plan`` boundary.
     """
 
     def __init__(
@@ -225,16 +223,15 @@ class BatchedPlatform:
             platform = EBSNPlatform(instance, solver=solver)
         elif solver is not None:
             raise ValueError("`solver` only applies with `instance`")
-        self._platform = platform  # guarded-by: _state_lock
+        self._platform = platform
         self._raise_on_reject = raise_on_reject
         self._max_pending = max_pending
-        self._pending: list[AtomicOperation] = []  # guarded-by: _queue_lock
-        self._closed = False  # guarded-by: _queue_lock
-        self._queue_lock = threading.Lock()
-        # Reentrant: a reader helper may be called while flushing.
-        self._state_lock = threading.RLock()
-        self._applied_log: list[AtomicOperation] = []  # guarded-by: _state_lock
-        self._stats = {  # guarded-by: _queue_lock
+        self._pending: list[AtomicOperation] = []
+        self._closed = False
+        self._applied_log: list[AtomicOperation] = []
+        # (plan, check_plan's violation count) from the last flush.
+        self.last_check: tuple[GlobalPlan, int] | None = None
+        self._stats = {
             "enqueued": 0,
             "folded": 0,
             "applied": 0,
@@ -243,29 +240,25 @@ class BatchedPlatform:
             "forced_flushes": 0,
             "max_queue_depth": 0,
         }
-        # Captured once so counters from worker threads land in the
-        # recorder of the context that owns the platform (ContextVars do
-        # not propagate into threads started outside that context).
+        # Captured once: counters land in the recorder of the context
+        # that built the platform, whichever thread later drives it.
         self._obs = get_recorder()
 
     # ------------------------------------------------------------------ #
-    # Reads (all under the state lock: no torn reads)
+    # Reads
     # ------------------------------------------------------------------ #
 
     @property
     def instance(self) -> Instance:
-        with self._state_lock:
-            return self._platform.instance
+        return self._platform.instance
 
     @property
     def plan(self) -> GlobalPlan:
-        with self._state_lock:
-            return self._platform.plan
+        return self._platform.plan
 
     @property
     def log(self) -> list[PlatformLogEntry]:
-        with self._state_lock:
-            return self._platform.log
+        return self._platform.log
 
     @property
     def applied_log(self) -> list[AtomicOperation]:
@@ -274,72 +267,57 @@ class BatchedPlatform:
         Serial replay of this log from the published plan reproduces the
         current state exactly.
         """
-        with self._state_lock:
-            return list(self._applied_log)
+        return list(self._applied_log)
 
     def plan_for(self, user: int) -> list[int]:
-        with self._state_lock:
-            return self._platform.plan_for(user)
+        return self._platform.plan_for(user)
 
     def attendees_of(self, event: int) -> list[int]:
-        with self._state_lock:
-            return self._platform.attendees_of(event)
+        return self._platform.attendees_of(event)
 
     def snapshot(self) -> dict[str, float]:
-        """A consistent audit snapshot (utility, violations, queue depth).
-
-        Taken under the state lock: the numbers all describe one single
-        post-batch state, never a half-applied one.
-        """
-        with self._state_lock:
-            numbers = self._platform.audit()
-        with self._queue_lock:
-            numbers["queue_depth"] = float(len(self._pending))
+        """The platform's audit numbers plus the queue depth."""
+        numbers = self._platform.audit()
+        numbers["queue_depth"] = float(len(self._pending))
         return numbers
 
     def stats(self) -> dict[str, int]:
         """Backpressure and coalescing counters (a copy)."""
-        with self._queue_lock:
-            return dict(self._stats)
+        return dict(self._stats)
 
     def queue_depth(self) -> int:
-        with self._queue_lock:
-            return len(self._pending)
+        return len(self._pending)
 
     # ------------------------------------------------------------------ #
     # Writes
     # ------------------------------------------------------------------ #
 
     def publish_plans(self) -> float:
-        with self._state_lock:
-            return self._platform.publish_plans()
+        return self._platform.publish_plans()
 
     def enqueue(self, operation: AtomicOperation) -> int:
         """Queue one operation; returns the queue depth after enqueue.
 
-        Reaching ``max_pending`` makes the enqueueing thread pay for the
+        Reaching ``max_pending`` makes the enqueueing caller pay for the
         flush (backpressure: producers slow down instead of the queue
         growing without bound).
         """
-        with self._queue_lock:
-            if self._closed:
-                raise PlatformClosedError(
-                    "BatchedPlatform is closed; the final batch has "
-                    "already been flushed and no further operations are "
-                    "accepted"
-                )
-            self._pending.append(operation)
-            depth = len(self._pending)
-            self._stats["enqueued"] += 1
-            self._stats["max_queue_depth"] = max(
-                self._stats["max_queue_depth"], depth
+        if self._closed:
+            raise PlatformClosedError(
+                "BatchedPlatform is closed; the final batch has "
+                "already been flushed and no further operations are "
+                "accepted"
             )
-            forced = depth >= self._max_pending
-            if forced:
-                self._stats["forced_flushes"] += 1
+        self._pending.append(operation)
+        depth = len(self._pending)
+        self._stats["enqueued"] += 1
+        self._stats["max_queue_depth"] = max(
+            self._stats["max_queue_depth"], depth
+        )
         self._obs.count("batched.enqueued")
         self._obs.gauge("batched.queue_depth", float(depth))
-        if forced:
+        if depth >= self._max_pending:
+            self._stats["forced_flushes"] += 1
             self._obs.count("batched.forced_flushes")
             self.flush()
         return depth
@@ -355,38 +333,34 @@ class BatchedPlatform:
         with ``raise_on_reject`` it escalates to
         :class:`BatchRejectionError` once the batch completes.
         """
-        with self._state_lock:
-            with self._queue_lock:
-                batch, self._pending = self._pending, []
-            result = BatchResult(submitted=len(batch))
-            if not batch:
-                return result
-            operations, result.folded = coalesce_operations(batch)
-            for operation in operations:
-                try:
-                    entry = self._platform.submit(operation)
-                except REJECTION_ERRORS as exc:
-                    # Stale or malformed against the batch's evolving
-                    # instance (validate() raises IndexError for ids past
-                    # the current event/user range).
-                    result.rejected.append((operation, str(exc)))
-                    continue
-                result.applied.append(entry)
-                self._applied_log.append(operation)
-            violations = check_plan(
-                self._platform.instance, self._platform.plan
-            )
-            result.violations = len(violations)
-            result.utility = (
-                result.applied[-1].utility_after
-                if result.applied
-                else self._platform.audit()["utility"]
-            )
-            with self._queue_lock:
-                self._stats["folded"] += result.folded
-                self._stats["applied"] += len(result.applied)
-                self._stats["rejected"] += len(result.rejected)
-                self._stats["flushes"] += 1
+        batch, self._pending = self._pending, []
+        result = BatchResult(submitted=len(batch))
+        if not batch:
+            return result
+        operations, result.folded = coalesce_operations(batch)
+        for operation in operations:
+            try:
+                entry = self._platform.submit(operation)
+            except REJECTION_ERRORS as exc:
+                # Stale or malformed against the batch's evolving
+                # instance (validate() raises IndexError for ids past
+                # the current event/user range).
+                result.rejected.append((operation, str(exc)))
+                continue
+            result.applied.append(entry)
+            self._applied_log.append(operation)
+        violations = check_plan(self._platform.instance, self._platform.plan)
+        result.violations = len(violations)
+        self.last_check = (self._platform.plan, result.violations)
+        result.utility = (
+            result.applied[-1].utility_after
+            if result.applied
+            else self._platform.audit()["utility"]
+        )
+        self._stats["folded"] += result.folded
+        self._stats["applied"] += len(result.applied)
+        self._stats["rejected"] += len(result.rejected)
+        self._stats["flushes"] += 1
         self._obs.count("batched.flushes")
         self._obs.count("batched.folded", result.folded)
         self._obs.count("batched.applied", len(result.applied))
@@ -396,60 +370,35 @@ class BatchedPlatform:
             raise BatchRejectionError(result)
         return result
 
-    def drain(self) -> BatchResult:
-        """Flush until the queue is empty (other threads may keep adding;
-        drain stops at the first empty observation)."""
-        result = self.flush()
-        while self.queue_depth():
-            follow_up = self.flush()
-            result.submitted += follow_up.submitted
-            result.folded += follow_up.folded
-            result.applied.extend(follow_up.applied)
-            result.rejected.extend(follow_up.rejected)
-            result.violations = follow_up.violations
-            result.utility = follow_up.utility
-        return result
-
     # ------------------------------------------------------------------ #
     # Shutdown
     # ------------------------------------------------------------------ #
 
     @property
     def closed(self) -> bool:
-        with self._queue_lock:
-            return self._closed
+        return self._closed
 
     def close(self) -> BatchResult:
-        """Flush the pending batch exactly once, then close the platform.
+        """Flush the pending batch once, then close the platform.
 
-        Shutdown contract (the service layer depends on each clause):
-
-        * the pending batch is flushed **exactly once** — concurrent or
-          repeated ``close()`` calls return an empty :class:`BatchResult`
-          without re-flushing;
-        * operations enqueued after close raise
-          :class:`PlatformClosedError` immediately (never queued, never
-          deadlocked on a queue nothing will drain);
-        * an inner platform with its own ``close()`` (notably
+        * Operations enqueued after close raise
+          :class:`PlatformClosedError` immediately (never queued on a
+          queue nothing will drain).
+        * An inner platform with its own ``close()`` (notably
           :class:`repro.platform.durable.DurablePlatform`, whose close
-          seals the WAL) is closed after the final flush, and only once;
-        * idempotent — closing a closed platform is a no-op.
+          seals the WAL) is closed after the final flush, and only once.
+        * Idempotent: closing a closed platform returns an empty
+          :class:`BatchResult` without re-flushing.
 
-        Returns the final flush's :class:`BatchResult` (empty when the
-        queue was empty or the platform was already closed).
+        Returns the final flush's :class:`BatchResult`.
         """
-        with self._queue_lock:
-            already_closed = self._closed
-            self._closed = True
-        if already_closed:
+        if self._closed:
             return BatchResult()
-        # The closed flag is set under the queue lock, so no enqueue can
-        # append after this point: one flush empties the queue for good.
+        self._closed = True
         result = self.flush()
-        with self._state_lock:
-            inner_close = getattr(self._platform, "close", None)
-            if inner_close is not None:
-                inner_close()
+        inner_close = getattr(self._platform, "close", None)
+        if inner_close is not None:
+            inner_close()
         self._obs.count("batched.closes")
         return result
 

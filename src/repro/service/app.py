@@ -9,13 +9,16 @@ to it.
 Everything here runs on the event loop.  The tenant registry lives on
 the loop too, so a lookup costs no hop.  Blocking platform work never
 runs on the loop: writes are ordered through each tenant's
-single-writer worker (:meth:`repro.service.tenants.Tenant.run_write`),
-and reads and tenant builds hop onto the default executor through
-:meth:`PlanningApp._read` (the platform's own locks make reads
-consistent).  Each frame makes at most one hop; only a create that
-shutdown overtakes makes a second, to seal what it built.  Every hop
-goes through :func:`repro.service.tenants.off_loop`, which carries the
-caller's context (the active recorder and span path) onto the thread.
+single-writer worker (:meth:`repro.service.tenants.Tenant.run_write`).
+A read takes the tenant's published
+:class:`~repro.service.tenants.TenantRecord` once on the loop, hops onto
+the default executor through :meth:`PlanningApp._read` to read only that
+record, and echoes the record's ``seq``: it never waits for a write and
+takes no lock.  Tenant builds hop the same way.  Each frame makes at
+most one hop; only a create that shutdown overtakes makes a second, to
+seal what it built.  Every hop goes through
+:func:`repro.service.tenants.off_loop`, which carries the caller's
+context (the active recorder and span path) onto the thread.
 
 Errors map to HTTP statuses via :data:`repro.service.protocol
 .HTTP_STATUS`; over WebSocket the envelope's ``ok``/``error`` fields
@@ -221,65 +224,64 @@ class PlanningApp:
 
     async def _do_plan(self, frame: dict[str, Any]) -> dict[str, Any]:
         tenant = self._published_tenant(frame)
+        record = tenant.record
         user = require(frame, "user", int)
-
-        def read() -> list[int]:
-            # Off the loop: the instance is read under the state lock,
-            # which a flush holds for its whole apply.
-            if not 0 <= user < tenant.platform.instance.n_users:
-                raise ProtocolError(
-                    E_NOT_FOUND,
-                    f"tenant {tenant.name!r} has no user {user}",
-                )
-            return tenant.platform.plan_for(user)
-
-        return {"user": user, "events": await self._read(read)}
+        if not 0 <= user < record.instance.n_users:
+            raise ProtocolError(
+                E_NOT_FOUND, f"tenant {tenant.name!r} has no user {user}"
+            )
+        plan = record.plan
+        assert plan is not None
+        return {
+            "user": user,
+            "events": await self._read(lambda: plan.user_plan(user)),
+            "seq": record.seq,
+        }
 
     async def _do_attendees(self, frame: dict[str, Any]) -> dict[str, Any]:
         tenant = self._published_tenant(frame)
+        record = tenant.record
         event = require(frame, "event", int)
-
-        def read() -> list[int]:
-            if not 0 <= event < tenant.platform.instance.n_events:
-                raise ProtocolError(
-                    E_NOT_FOUND,
-                    f"tenant {tenant.name!r} has no event {event}",
-                )
-            return tenant.platform.attendees_of(event)
-
-        return {"event": event, "users": await self._read(read)}
+        if not 0 <= event < record.instance.n_events:
+            raise ProtocolError(
+                E_NOT_FOUND, f"tenant {tenant.name!r} has no event {event}"
+            )
+        plan = record.plan
+        assert plan is not None
+        return {
+            "event": event,
+            "users": await self._read(lambda: plan.attendees(event)),
+            "seq": record.seq,
+        }
 
     async def _do_summary(self, frame: dict[str, Any]) -> dict[str, Any]:
-        tenant = self._published_tenant(frame)
-
-        def read() -> tuple[dict[str, float], dict[str, int]]:
-            # Both take the platform's queue lock: off the loop.
-            return tenant.platform.snapshot(), tenant.platform.stats()
-
-        audit, stats = await self._read(read)
-        return {"audit": audit, "stats": stats, "seq": tenant.seq}
+        record = self._published_tenant(frame).record
+        return {
+            "audit": await self._read(record.audit),
+            "stats": record.stats,
+            "seq": record.seq,
+        }
 
     async def _do_plan_summary(
         self, frame: dict[str, Any]
     ) -> dict[str, Any]:
-        tenant = self._published_tenant(frame)
+        record = self._published_tenant(frame).record
+        plan = record.plan
+        assert plan is not None
 
         def summarize() -> list[list[int]]:
-            summary = PlanSummary.of(tenant.platform.plan)
+            summary = PlanSummary.of(plan)
             return [list(events) for events in summary.assignments]
 
-        return {
-            "assignments": await self._read(summarize),
-            "seq": tenant.seq,
-        }
+        return {"assignments": await self._read(summarize), "seq": record.seq}
 
     async def _do_oplog(self, frame: dict[str, Any]) -> dict[str, Any]:
         """The tenant's applied log — serial-replay ground truth."""
-        tenant = self._published_tenant(frame)
+        record = self._published_tenant(frame).record
         operations = await self._read(
-            lambda: encode_operations(tenant.platform.applied_log)
+            lambda: encode_operations(record.applied_log())
         )
-        return {"ops": operations, "seq": tenant.seq}
+        return {"ops": operations, "seq": record.seq}
 
 
 __all__ = ["PlanningApp"]

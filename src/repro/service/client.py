@@ -171,7 +171,11 @@ class ServiceClient(_RpcMixin):
 
 
 class WebSocketClient(_RpcMixin):
-    """WebSocket transport: one frame per message on ``/v1/stream``."""
+    """WebSocket transport: one frame per message on ``/v1/stream``.
+
+    :meth:`send` and :meth:`receive` pipeline: send several frames, then
+    read their responses in the same order.
+    """
 
     def __init__(
         self, host: str, port: int, timeout: float = 30.0
@@ -214,7 +218,15 @@ class WebSocketClient(_RpcMixin):
 
     def rpc(self, action: str, *, check: bool = True,
             **fields: Any) -> dict[str, Any]:
+        self.send(action, **fields)
+        return self.receive(check=check)
+
+    def send(self, action: str, **fields: Any) -> None:
+        """Send one request frame without waiting for its response."""
         self.send_text(self._frame(action, fields))
+
+    def receive(self, *, check: bool = True) -> dict[str, Any]:
+        """The next response frame, in send order."""
         return self._finish(json.loads(self.recv_text()), check)
 
     def send_text(self, text: str) -> None:

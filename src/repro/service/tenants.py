@@ -1,20 +1,26 @@
-"""Tenant lifecycle: specs, single-writer workers, startup recovery.
+"""Tenant lifecycle: specs, single-writer workers, published records.
 
 One **tenant** is one city :class:`~repro.core.model.Instance` served by
 its own durability stack::
 
-    BatchedPlatform  (write coalescing, thread-safe reads)
+    BatchedPlatform  (write coalescing)
         └── DurablePlatform  (WAL + snapshots in <root>/<name>/)
                 └── EBSNPlatform  (the IEP engine)
 
-Ordering discipline: every *write* (publish, submit) is funnelled
-through the tenant's single asyncio worker task, which executes jobs one
-at a time on an executor thread — the per-tenant single-writer
-discipline the WAL's sequence numbers depend on.  The worker's inbox is
-a bounded :class:`asyncio.Queue`; a full inbox blocks the producing
-connection (backpressure) instead of growing without bound.  Reads go
-straight to the platform: :class:`~repro.scale.BatchedPlatform` takes
-its state lock, so a reader never observes a half-applied batch.
+Writes: every write (publish, submit) is funnelled through the tenant's
+single asyncio worker task, which executes jobs one at a time on an
+executor thread — the per-tenant single-writer discipline the WAL's
+sequence numbers depend on, and the only code that touches the stack.
+The worker's inbox is a bounded :class:`asyncio.Queue`; a full inbox
+blocks the producing connection (backpressure) instead of growing
+without bound.
+
+Reads: after each write job the worker captures a :class:`TenantRecord`
+(seq, instance, plan, log prefix, counters) and swaps it in with one
+reference assignment on the loop.  A read takes the record once and
+reads only it, so it never waits for a write and needs no lock: the
+engine never mutates a plan or instance it returned, and the log only
+grows at the end.
 
 A tenant directory is self-describing: ``tenant.json`` holds the
 :class:`TenantSpec` (instances are regenerated deterministically from
@@ -37,11 +43,14 @@ from typing import Any, Callable, Iterator, TypeVar
 
 from repro.core.fsio import atomic_write_text
 from repro.core.gepc.greedy import GreedySolver
+from repro.core.iep.operations import AtomicOperation
 from repro.core.model import Instance
+from repro.core.plan import GlobalPlan
 from repro.datasets.cities import CITY_CONFIGS, make_city
 from repro.datasets.meetup import MeetupConfig, generate_ebsn
 from repro.obs import get_recorder
 from repro.platform.durable import DurablePlatform, RecoveryReport
+from repro.platform.service import PlatformLogEntry, audit_numbers
 from repro.platform.snapshot import latest_snapshot
 from repro.scale.batched import BatchedPlatform
 from repro.service.protocol import (
@@ -168,6 +177,42 @@ async def off_loop(
     return await loop.run_in_executor(None, context.run, fn)
 
 
+@dataclass(frozen=True)
+class TenantRecord:
+    """One published tenant state: what every read is served from.
+
+    ``log`` is the platform's live audit log and ``operations`` the
+    length of the prefix this record covers; the log only grows at the
+    end, so that prefix never changes.  Each entry's ``operation`` is
+    the coalesced operation the batch applied, so the prefix is also
+    the applied log that serial replay reproduces.
+    """
+
+    seq: int
+    instance: Instance
+    plan: GlobalPlan | None  # None until the tenant publishes
+    log: list[PlatformLogEntry] = field(repr=False)
+    operations: int
+    stats: dict[str, int]
+    queue_depth: int
+    violations: int | None  # check_plan's count, if a flush took it
+
+    def audit(self) -> dict[str, float]:
+        """:meth:`BatchedPlatform.snapshot`'s numbers, for this state."""
+        assert self.plan is not None
+        numbers = audit_numbers(
+            self.instance,
+            self.plan,
+            self.log[: self.operations],
+            self.violations,
+        )
+        numbers["queue_depth"] = float(self.queue_depth)
+        return numbers
+
+    def applied_log(self) -> list[AtomicOperation]:
+        return [entry.operation for entry in self.log[: self.operations]]
+
+
 @dataclass
 class _Job:
     """One unit of work in a tenant worker's inbox, with the context of
@@ -197,6 +242,7 @@ class Tenant:
         self.durable = durable
         self.platform = BatchedPlatform(platform=durable)
         self.recovery = recovery
+        self.record = self._capture()  # loop-confined
         self._backpressure = backpressure
         self._inbox: asyncio.Queue | None = None  # loop-confined
         self._worker: asyncio.Task | None = None  # loop-confined
@@ -212,12 +258,12 @@ class Tenant:
 
     @property
     def published(self) -> bool:
-        return self.durable.is_planned
+        return self.record.plan is not None
 
     @property
     def seq(self) -> int:
-        """The tenant's durable sequence number (WAL position)."""
-        return self.durable.seq
+        """The published record's sequence number (WAL position)."""
+        return self.record.seq
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -228,9 +274,32 @@ class Tenant:
             "queue_depth": (
                 self._inbox.qsize() if self._inbox is not None else 0
             ),
-            "users": self.durable.instance.n_users,
-            "events": self.durable.instance.n_events,
+            "users": self.record.instance.n_users,
+            "events": self.record.instance.n_events,
         }
+
+    def _capture(self) -> TenantRecord:
+        """The stack's current state as a record.
+
+        Called only while no write job runs: at construction, and by the
+        worker between jobs.
+        """
+        durable = self.durable
+        log = durable.log
+        plan = durable.plan if durable.is_planned else None
+        checked = self.platform.last_check
+        return TenantRecord(
+            seq=durable.seq,
+            instance=durable.instance,
+            plan=plan,
+            log=log,
+            operations=len(log),
+            stats=self.platform.stats(),
+            queue_depth=self.platform.queue_depth(),
+            violations=(
+                checked[1] if checked and checked[0] is plan else None
+            ),
+        )
 
     # ------------------------------------------------------------------ #
     # Single-writer worker
@@ -254,9 +323,11 @@ class Tenant:
             try:
                 result = await off_loop(job.fn, job.context)
             except Exception as exc:  # delivered to the one caller
+                self.record = self._capture()
                 if not job.future.done():
                     job.future.set_exception(exc)
             else:
+                self.record = self._capture()
                 if not job.future.done():
                     job.future.set_result(result)
 
@@ -264,7 +335,8 @@ class Tenant:
         """Run one write job through the worker, in arrival order.
 
         Blocks (cooperatively) while the inbox is full — the
-        backpressure that slows producers down to apply speed.
+        backpressure that slows producers down to apply speed.  The new
+        :attr:`record` is in place before the caller resumes.
         """
         if self._worker is None or self._worker.done():
             raise ProtocolError(
@@ -472,5 +544,6 @@ __all__ = [
     "SPEC_FILENAME",
     "Tenant",
     "TenantManager",
+    "TenantRecord",
     "TenantSpec",
 ]

@@ -350,7 +350,7 @@ class TestBatchedOverDurable:
         stream = OperationStream(seed=9)
         for operation in stream.mixed(batched.instance, batched.plan, 8):
             batched.enqueue(operation)
-        batched.drain()
+        batched.flush()
         utility = batched.snapshot()["utility"]
         applied = list(batched.applied_log)
         durable.close()

@@ -1,11 +1,10 @@
-"""Interprocedural lint tests: call graph, RL009/RL010/RL011, self-check.
+"""Interprocedural lint tests: call graph, RL009/RL011, self-check.
 
 Fixture snippets exercise each rule's true-positive *and* true-negative
-shape (notably: executor-laundered blocking calls must NOT fire RL009,
-and a deliberate ABBA nesting MUST fire RL010).  The final tests lint
-the repository's own ``src/`` tree and assert zero unsuppressed
-findings — the same gate CI enforces — and that every inline
-suppression carries a reason.
+shape (notably: executor-laundered blocking calls must NOT fire RL009).
+The final tests lint the repository's own ``src/`` tree and assert zero
+unsuppressed findings — the same gate CI enforces — and that every
+inline suppression carries a reason.
 """
 
 import json
@@ -18,12 +17,6 @@ from repro.lint.cli import main as lint_main
 from repro.lint.config import load_config
 from repro.lint.context import ModuleContext
 from repro.lint.engine import collect_contexts
-from repro.lint.interproc import (
-    InterproceduralAnalysis,
-    collect_lock_table,
-    find_cycles,
-)
-from repro.lint.registry import instantiate_rules
 from repro.lint.reporters import render_text
 from repro.lint.suppressions import parse_suppressions
 
@@ -112,25 +105,6 @@ def test_callgraph_marks_executor_arguments_laundered():
     assert laundered and all(c.via_executor for c in laundered)
 
 
-def test_callgraph_records_lock_sites():
-    graph = CallGraph.build([
-        context(
-            """
-            import threading
-
-            class Box:
-                def __init__(self):
-                    self._lock = threading.Lock()
-            """,
-            "repro.epsilon",
-        )
-    ])
-    table = collect_lock_table(graph)
-    assert "repro.epsilon:Box._lock" in table
-    path, line = table["repro.epsilon:Box._lock"]
-    assert line == 6  # the threading.Lock() allocation line
-
-
 # --------------------------------------------------------------------- #
 # RL009 async-blocking-discipline
 # --------------------------------------------------------------------- #
@@ -153,24 +127,6 @@ def test_rl009_flags_fsync_reached_through_sync_helper():
     (finding,) = result.findings
     assert finding.line == 8  # the call site inside the async def
     assert "_persist" in finding.detail
-
-
-def test_rl009_flags_direct_lock_acquisition_in_async_def():
-    result = run(
-        """
-        import threading
-
-        class Box:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            async def touch(self):
-                with self._lock:
-                    return 1
-        """,
-        select=["RL009"],
-    )
-    assert codes(result) == ["RL009"]
 
 
 def test_rl009_ignores_to_thread_laundered_fsync():
@@ -225,195 +181,8 @@ def test_rl009_skips_async_callees():
 
 
 # --------------------------------------------------------------------- #
-# RL010 lock-order-discipline
+# RL011 loop-confinement
 # --------------------------------------------------------------------- #
-
-ABBA = """
-import threading
-
-class Pair:
-    def __init__(self):
-        self._a = threading.Lock()
-        self._b = threading.Lock()
-
-    def ab(self):
-        with self._a:
-            with self._b:
-                return 1
-
-    def ba(self):
-        with self._b:
-            with self._a:
-                return 2
-"""
-
-
-def test_rl010_flags_abba_cycle_with_witness():
-    result = run(ABBA, select=["RL010"])
-    assert "RL010" in codes(result)
-    cycle = next(f for f in result.findings if "cycle" in f.message)
-    assert "Pair._a" in cycle.message and "Pair._b" in cycle.message
-    # --explain material: file:line hops for each edge of the cycle.
-    assert "<string>:10" in cycle.detail and "<string>:15" in cycle.detail
-
-
-def test_rl010_consistent_nesting_is_clean():
-    result = run(
-        """
-        import threading
-
-        class Pair:
-            def __init__(self):
-                self._a = threading.Lock()
-                self._b = threading.Lock()
-
-            def ab(self):
-                with self._a:
-                    with self._b:
-                        return 1
-
-            def also_ab(self):
-                with self._a:
-                    with self._b:
-                        return 2
-        """,
-        select=["RL010"],
-    )
-    assert codes(result) == []
-
-
-def test_rl010_declared_order_violation_without_full_cycle():
-    rules = instantiate_rules(
-        {
-            "rl010": {
-                "declared_order": [
-                    "repro.scale.fixture:Pair._a",
-                    "repro.scale.fixture:Pair._b",
-                ]
-            }
-        },
-        ["RL010"],
-    )
-    result = run(
-        """
-        import threading
-
-        class Pair:
-            def __init__(self):
-                self._a = threading.Lock()
-                self._b = threading.Lock()
-
-            def ba(self):
-                with self._b:
-                    with self._a:
-                        return 2
-        """,
-        rules=rules,
-    )
-    assert codes(result) == ["RL010"]
-    assert "opposite order" in result.findings[0].message
-
-
-def test_rl010_interprocedural_edge_through_helper_call():
-    # ab() holds _a while calling a helper that takes _b: the edge must
-    # exist even though the two acquisitions are in different functions.
-    graph = CallGraph.build([
-        context(
-            """
-            import threading
-
-            class Pair:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def _inner(self):
-                    with self._b:
-                        return 1
-
-                def outer(self):
-                    with self._a:
-                        return self._inner()
-            """,
-            "repro.zeta",
-        )
-    ])
-    edges = InterproceduralAnalysis(graph).order_edges()
-    pairs = {(edge.first, edge.second) for edge in edges}
-    assert ("repro.zeta:Pair._a", "repro.zeta:Pair._b") in pairs
-    assert not find_cycles(edges)
-
-
-def test_rl010_reentrant_self_acquisition_is_not_a_cycle():
-    result = run(
-        """
-        import threading
-
-        class Box:
-            def __init__(self):
-                self._state = threading.RLock()
-
-            def outer(self):
-                with self._state:
-                    return self.inner()
-
-            def inner(self):
-                with self._state:
-                    return 1
-        """,
-        select=["RL010"],
-    )
-    assert codes(result) == []
-
-
-# --------------------------------------------------------------------- #
-# RL011 guarded-by-escape
-# --------------------------------------------------------------------- #
-
-ESCAPE = """
-import threading
-
-class Box:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._items = []  # guarded-by: _lock
-
-    def _peek(self):
-        return len(self._items)
-
-    def depth(self):
-        return self._peek()
-"""
-
-
-def test_rl011_flags_escape_through_private_helper():
-    result = run(ESCAPE, select=["RL011"])
-    assert codes(result) == ["RL011"]
-    (finding,) = result.findings
-    assert "depth" in finding.message and "_items" in finding.message
-
-
-def test_rl011_clean_when_caller_holds_the_lock():
-    result = run(
-        """
-        import threading
-
-        class Box:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self._items = []  # guarded-by: _lock
-
-            def _peek(self):
-                return len(self._items)
-
-            def depth(self):
-                with self._lock:
-                    return self._peek()
-        """,
-        select=["RL011"],
-    )
-    assert codes(result) == []
-
 
 def test_rl011_flags_loop_confined_access_from_executor():
     result = run(
@@ -454,22 +223,33 @@ def test_rl011_loop_confined_clean_on_the_loop():
 # --------------------------------------------------------------------- #
 
 
+FSYNC = """
+import os
+
+def _persist(fd):
+    os.fsync(fd)
+
+async def handler(fd):
+    _persist(fd)
+"""
+
+
 def _write_fixture_tree(tmp_path):
     pkg = tmp_path / "src" / "repro" / "scale"
     pkg.mkdir(parents=True)
     (tmp_path / "src" / "repro" / "__init__.py").write_text("")
     (pkg / "__init__.py").write_text("")
-    (pkg / "fixture.py").write_text(textwrap.dedent(ABBA))
+    (pkg / "fixture.py").write_text(FSYNC)
     return tmp_path / "src"
 
 
-def test_cli_rule_and_explain_print_cycle_path(tmp_path, capsys):
+def test_cli_rule_and_explain_print_witness_path(tmp_path, capsys):
     src = _write_fixture_tree(tmp_path)
-    status = lint_main(["--rule", "RL010", "--explain", str(src)])
+    status = lint_main(["--rule", "RL009", "--explain", str(src)])
     out = capsys.readouterr().out
     assert status == 1
-    assert "RL010" in out
-    assert "lock-order cycle" in out
+    assert "RL009" in out
+    assert "blocking path" in out
     # Witness hops are rendered as indented file:line lines.
     assert any(
         line.startswith("    ") and "fixture.py:" in line
@@ -481,17 +261,19 @@ def test_cli_callgraph_json_dump(tmp_path, capsys):
     src = _write_fixture_tree(tmp_path)
     out_path = tmp_path / "callgraph.json"
     lint_main(
-        ["--rule", "RL010", "--callgraph-json", str(out_path), str(src)]
+        ["--rule", "RL009", "--callgraph-json", str(out_path), str(src)]
     )
     capsys.readouterr()
     payload = json.loads(out_path.read_text())
-    assert payload["version"] == 1
-    assert any(
-        key.endswith(":Pair.ab") for key in payload["functions"]
+    assert payload["version"] == 2
+    handler = next(
+        fn for key, fn in payload["functions"].items()
+        if key.endswith(":handler")
     )
-    assert any(
-        identity.endswith(":Pair._a") for identity in payload["locks"]
-    )
+    assert handler["async"] is True
+    assert [call["callee"] for call in handler["calls"]] == [
+        "repro.scale.fixture:_persist"
+    ]
 
 
 def test_cli_rejects_unknown_rule(capsys):
@@ -529,7 +311,7 @@ def test_every_suppression_in_src_carries_a_reason():
 
 
 def test_explain_renderer_indents_detail_lines():
-    result = run(ABBA, select=["RL010"])
+    result = run(FSYNC, select=["RL009"])
     text = render_text(result, explain=True)
     lines = text.splitlines()
     assert any(line.startswith("    ") for line in lines)

@@ -129,70 +129,6 @@ def test_rl002_exempts_tolerances_module():
 
 
 # --------------------------------------------------------------------- #
-# RL003 lock-discipline
-# --------------------------------------------------------------------- #
-
-RL003_GUARDED_CLASS = """
-    import threading
-
-    class Platform:
-        def __init__(self):
-            self._pending = []  # guarded-by: _queue_lock
-            self._queue_lock = threading.Lock()
-
-        def enqueue(self, op):
-            {body}
-"""
-
-
-def test_rl003_flags_unguarded_access():
-    result = run(
-        RL003_GUARDED_CLASS.format(body="self._pending.append(op)")
-    )
-    assert codes(result) == ["RL003"]
-
-
-def test_rl003_allows_access_under_lock():
-    result = run(
-        RL003_GUARDED_CLASS.format(
-            body="""
-            with self._queue_lock:
-                self._pending.append(op)
-"""
-        )
-    )
-    assert codes(result) == []
-
-
-def test_rl003_flags_wrong_lock():
-    result = run(
-        """
-        import threading
-
-        class Platform:
-            def __init__(self):
-                self._pending = []  # guarded-by: _queue_lock
-                self._queue_lock = threading.Lock()
-                self._state_lock = threading.Lock()
-
-            def enqueue(self, op):
-                with self._state_lock:
-                    self._pending.append(op)
-        """
-    )
-    assert codes(result) == ["RL003"]
-
-
-def test_rl003_exempts_init():
-    # The declaring assignment itself lives in __init__, before the lock
-    # even exists; construction is single-threaded by contract.
-    result = run(
-        RL003_GUARDED_CLASS.format(body="pass")
-    )
-    assert codes(result) == []
-
-
-# --------------------------------------------------------------------- #
 # RL004 leaked-mutable-array
 # --------------------------------------------------------------------- #
 
@@ -475,8 +411,8 @@ def test_rl008_flags_row_free_serving_rewrites():
 
 def test_all_rules_registered():
     assert sorted(RULES) == [
-        "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL008",
-        "RL009", "RL010", "RL011",
+        "RL001", "RL002", "RL004", "RL005", "RL006", "RL008", "RL009",
+        "RL011",
     ]
 
 

@@ -157,7 +157,6 @@ class TestReplayEquivalence:
             for operation in stream.mixed(batched.instance, batched.plan, 5):
                 batched.enqueue(operation)
             batched.flush()
-        batched.drain()
 
         serial = EBSNPlatform(instance)
         serial.publish_plans()
@@ -174,7 +173,7 @@ class TestReplayEquivalence:
         stream = OperationStream(seed=2)
         for operation in stream.mixed(batched.instance, batched.plan, 12):
             batched.enqueue(operation)
-        batched.drain()
+        batched.flush()
         snapshot = batched.snapshot()
         assert snapshot["violations"] == 0
         assert snapshot["queue_depth"] == 0

@@ -41,6 +41,7 @@ from repro.service.protocol import (
     E_UNKNOWN_TENANT,
     E_VERSION_MISMATCH,
     MAX_FRAME_BYTES,
+    encode_operations,
 )
 
 
@@ -434,41 +435,97 @@ async def _published_app(root):
     return manager, app
 
 
-def test_summary_leaves_the_loop_free_while_the_queue_lock_is_held(tmp_path):
-    """``summary`` takes the platform's queue lock in its executor hop,
-    never on the loop: a ``ping`` is answered while another thread holds
-    the lock."""
-    holding = threading.Event()
+def test_reads_do_not_wait_for_a_write(tmp_path, monkeypatch):
+    """While a submit is held mid-flush, ``summary``, ``plan`` and
+    ``attendees`` answer at once, from the record published before it."""
+    import repro.scale.batched as batched
+
+    entered = threading.Event()
     release = threading.Event()
+    check_plan = batched.check_plan
 
-    async def probe() -> bool:
+    def held_check_plan(*args):
+        entered.set()
+        release.wait(timeout=10)
+        return check_plan(*args)
+
+    async def probe() -> None:
         manager, app = await _published_app(tmp_path)
-        platform = manager.get("t").platform
-        # Only the stats read contends: the audit returns at once.
-        platform.snapshot = lambda: {"utility": 0.0}
-
-        def hold() -> None:
-            with platform._queue_lock:
-                holding.set()
-                release.wait(timeout=5)
-
-        holder = threading.Thread(target=hold)
-        holder.start()
-        holding.wait(timeout=10)
-        summary = asyncio.ensure_future(
-            app.dispatch_raw(_frame("summary", tenant="t"))
+        monkeypatch.setattr(batched, "check_plan", held_check_plan)
+        op = encode_operations([BudgetChange(0, 30.0)])
+        submit = asyncio.ensure_future(
+            app.dispatch_raw(_frame("submit", tenant="t", ops=op))
         )
-        await asyncio.sleep(0.05)
-        pong, status = await app.dispatch_raw(_frame("ping"))
-        answered_while_held = platform._queue_lock.locked() and status == 200
-        release.set()
-        response, status = await summary
-        assert status == 200 and "stats" in response, response
-        holder.join(timeout=10)
+        assert await asyncio.to_thread(entered.wait, 10)
+        try:
+            for frame in (
+                _frame("summary", tenant="t"),
+                _frame("plan", tenant="t", user=0),
+                _frame("attendees", tenant="t", event=0),
+            ):
+                response, status = await asyncio.wait_for(
+                    app.dispatch_raw(frame), timeout=5
+                )
+                assert status == 200, response
+                assert response["seq"] == 0, response
+            assert not submit.done()
+        finally:
+            release.set()
+        response, status = await submit
+        assert status == 200 and response["seq"] == 1, response
+        response, _ = await app.dispatch_raw(_frame("summary", tenant="t"))
+        assert response["seq"] == 1
         await manager.close_all()
-        return answered_while_held
 
-    assert asyncio.run(probe())
+    asyncio.run(probe())
+
+
+def test_reads_leave_the_published_plans_caches_alone(tmp_path):
+    """``plan``, ``attendees``, ``summary`` and ``plan-summary`` never
+    fill the lazy caches of a plan the writer may be rebinding."""
+
+    async def probe() -> None:
+        manager, app = await _published_app(tmp_path)
+        plan = manager.get("t").record.plan
+        plan.insertion_deltas(0)
+        plan.blocked_counts(0)
+        blocked = dict(plan._blocked)
+        kernel = dict(plan._kernel_cache)
+        assert blocked and kernel
+        for frame in (
+            *(_frame("plan", tenant="t", user=u) for u in range(8)),
+            *(_frame("attendees", tenant="t", event=e) for e in range(4)),
+            _frame("summary", tenant="t"),
+            _frame("plan-summary", tenant="t"),
+        ):
+            response, status = await app.dispatch_raw(frame)
+            assert status == 200, response
+        assert plan._blocked.keys() == blocked.keys()
+        assert all(plan._blocked[u] is row for u, row in blocked.items())
+        assert plan._kernel_cache.keys() == kernel.keys()
+        assert all(
+            plan._kernel_cache[u] is row for u, row in kernel.items()
+        )
+        await manager.close_all()
+
+    asyncio.run(probe())
+
+
+def test_summary_audit_equals_the_platforms_audit(tmp_path):
+    """The record's audit (violations carried from the last flush) reads
+    exactly what ``BatchedPlatform.snapshot`` recomputes."""
+
+    async def probe() -> None:
+        manager, app = await _published_app(tmp_path)
+        ops = encode_operations([BudgetChange(0, 30.0), BudgetChange(1, 5.0)])
+        for frame in (_frame("summary", tenant="t"),
+                      _frame("submit", tenant="t", ops=ops)):
+            await app.dispatch_raw(frame)
+            response, _ = await app.dispatch_raw(_frame("summary", tenant="t"))
+            assert response["audit"] == manager.get("t").platform.snapshot()
+        await manager.close_all()
+
+    asyncio.run(probe())
 
 
 def test_counters_recorded_off_loop_reach_the_recorder(tmp_path):
