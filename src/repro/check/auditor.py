@@ -264,11 +264,11 @@ class InvariantAuditor:
         if instance._distances is not None:
             fresh = reference.distances
             live = instance._distances
-            # Compare *served* values through the backend interface: for
-            # the dense backend this is the plane itself; for the tiled
-            # backend it assembles every pair the solvers could ever read,
-            # so a stale or mis-invalidated tile diverges here exactly
-            # like a mis-patched dense row would.
+            # Compare *served* values: with the plane resident this is
+            # the plane itself; without it, every pair the solvers could
+            # ever read is computed from the coordinates, so a stale
+            # coordinate diverges here exactly like a mis-patched plane
+            # row would.
             ids = np.arange(live.n_users, dtype=np.intp)
             self._compare_matrix(
                 report, "instance_user_event_distances",

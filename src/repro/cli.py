@@ -16,6 +16,7 @@ Installed as ``repro-gepc``::
     repro-gepc fuzz --seeds 25 --operations 12
     repro-gepc fuzz --durable --seeds 10
     repro-gepc fuzz --service --seeds 10
+    repro-gepc fuzz --distance tiled
     repro-gepc recover /tmp/auckland-state
     repro-gepc serve --root /tmp/planning-state --port 8414
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from repro.bench.harness import measure
 from repro.bench.tables import format_table
@@ -38,6 +40,7 @@ from repro.check import TARGETS, FuzzConfig, maybe_shadow_checks, run_fuzz
 from repro.core.constraints import check_plan
 from repro.core.gepc import GAPBasedSolver, GreedySolver
 from repro.core.model import InstanceStats
+from repro.core.tiles import use_distance_backend
 from repro.datasets import CITY_CONFIGS, load_instance, make_city, save_instance
 from repro.obs import recording, render_text, write_json
 from repro.platform import EBSNPlatform, OperationStream
@@ -265,9 +268,13 @@ def fuzz_run_of(args: argparse.Namespace) -> tuple[FuzzConfig, str]:
     return FuzzConfig(args.operations, args.users, args.events), target
 
 
-def fuzz_command(seed: int, config: FuzzConfig, target: str) -> str:
+def fuzz_command(
+    seed: int, config: FuzzConfig, target: str, distance: str | None
+) -> str:
     """The ``repro-gepc fuzz`` line that replays one seed of a run."""
     flag = "" if target == "engine" else f" --{target}"
+    if distance is not None:
+        flag += f" --distance {distance}"
     return (
         f"repro-gepc fuzz --base-seed {seed} --seeds 1 "
         f"--operations {config.operations} --users {config.n_users} "
@@ -278,7 +285,12 @@ def fuzz_command(seed: int, config: FuzzConfig, target: str) -> str:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     config, target = fuzz_run_of(args)
     seeds = range(args.base_seed, args.base_seed + args.seeds)
-    summary = run_fuzz(seeds, config, target)
+    with (
+        nullcontext()
+        if args.distance is None
+        else use_distance_backend(args.distance)
+    ):
+        summary = run_fuzz(seeds, config, target)
     columns = summary.columns()
     print(
         format_table(
@@ -296,7 +308,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         for problem in [*report.mismatches[:10], *report.violations[:10]]:
             print(f"  {problem}", file=sys.stderr)
         print(
-            f"  reproduce: {fuzz_command(report.seed, config, target)}",
+            "  reproduce: "
+            f"{fuzz_command(report.seed, config, target, args.distance)}",
             file=sys.stderr,
         )
     return 0 if summary.ok else 1
@@ -359,15 +372,6 @@ def _add_scale_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_trace_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--distance",
-        choices=("dense", "tiled"),
-        default=None,
-        help="distance backend: dense plane (default/oracle) or "
-        "distances computed on demand from resident coordinates "
-        "(value-identical; see docs/memory.md).  Overrides "
-        "REPRO_DISTANCE.",
-    )
     sub.add_argument(
         "--trace",
         action="store_true",
@@ -488,6 +492,14 @@ def build_parser() -> argparse.ArgumentParser:
         "WebSocket) and diff every frame against an in-process "
         "oracle (see docs/service.md)",
     )
+    fuzz.add_argument(
+        "--distance",
+        choices=("dense", "tiled"),
+        default=None,
+        help="check one distance path on every instance: the resident "
+        "user-event plane or distances computed from coordinates "
+        "(default: chosen by instance size; see docs/memory.md)",
+    )
     _add_trace_arguments(fuzz)
     fuzz.set_defaults(handler=_cmd_fuzz)
 
@@ -547,11 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    distance = getattr(args, "distance", None)
-    if distance is not None:
-        from repro.core.tiles import set_distance_backend
-
-        set_distance_backend(distance)
     trace = getattr(args, "trace", False)
     trace_json = getattr(args, "trace_json", None)
     if not trace and trace_json is None:

@@ -31,7 +31,8 @@ def _prune_unreachable(instance: Instance, users: np.ndarray) -> np.ndarray:
     all-False feasible-mask row (every event fails the same
     ``2d + fee <= B + tol`` budget test the kernel evaluates), so they can
     never produce a candidate pair — pruning them only shrinks the kernel
-    pass.  Under the dense backend there is no index and this is a no-op.
+    pass.  With the plane resident there is no index and this is a
+    no-op.
     """
     candidates = instance.candidate_index
     if candidates is None or users.size == 0:

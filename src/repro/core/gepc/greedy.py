@@ -77,7 +77,7 @@ class GreedySolver(GEPCSolver):
             # behaviour-identical to the lazy per-user computation — and
             # replaces n_users cold per-user row calls with one user×event pass.
             planes = None
-            # Under the tiled backend, the spatial index tells us which
+            # Without the plane, the spatial index tells us which
             # users can reach at least one event within budget.  A user
             # with no candidates has an all-False feasible mask (their
             # empty-plan round trip already busts the budget on every

@@ -182,7 +182,7 @@ class BatchedKernel(KernelStrategy):
         )
         empty = lengths == 0
         if empty.any():
-            # Chunked like the busy path: under the tiled backend a
+            # Chunked like the busy path: on the coordinate path a
             # single all-users gather would assemble the full n x m plane
             # in one allocation, defeating the bounded working set.
             # Chunking changes no per-row elementwise op, so the deltas

@@ -18,10 +18,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.tiles import (
-    TiledDistanceMatrix,
-    active_distance_backend,
-)
 from repro.geo.distance import DistanceMatrix
 from repro.geo.grid import SpatialCandidateIndex
 from repro.geo.point import Point
@@ -37,12 +33,6 @@ from repro.timeline.interval import Interval
 
 if TYPE_CHECKING:
     from repro.core.costs import CostModel
-
-#: Either distance backend satisfies the same serving interface
-#: (``user_event`` / ``user_event_row`` / ``user_event_rows`` / ...);
-#: ``REPRO_DISTANCE`` picks which one new caches are built with.
-DistanceBackend = DistanceMatrix | TiledDistanceMatrix
-
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     """A write-locked view; the internal cache array stays writable.
@@ -147,7 +137,7 @@ class Instance:
             and self.cost_model.fees.shape != (len(events),)
         ):
             raise ValueError("one admission fee per event required")
-        self._distances: DistanceBackend | None = None
+        self._distances: DistanceMatrix | None = None
         self._candidates: SpatialCandidateIndex | None = None
         self._conflicts: list[set[int]] | None = None
         self._conflict_matrix: np.ndarray | None = None
@@ -198,51 +188,36 @@ class Instance:
         return len(self.events)
 
     @property
-    def distances(self) -> DistanceBackend:
-        """Lazily built distance cache (user-event and event-event).
+    def distances(self) -> DistanceMatrix:
+        """Lazily built distances (user-event and event-event).
 
-        The backend is chosen at build time by ``REPRO_DISTANCE``:
-        ``dense`` (the default and the bit-exactness oracle) materialises
-        the full plane; ``tiled`` keeps only coordinates resident and
-        computes each distance on demand — value-identical on every
-        served pair.
+        The user-event plane is kept resident only when the instance is
+        small enough (``repro.geo.distance.PLANE_CELL_LIMIT``); larger
+        instances compute each user-event distance from the resident
+        coordinates.  Both paths serve bit-identical values.
         """
         if self._distances is None:
-            if active_distance_backend() == "tiled":
-                self._distances = TiledDistanceMatrix.from_points(
-                    [u.location for u in self.users],
-                    [e.location for e in self.events],
-                    metric=self.cost_model.metric,
-                )
-            else:
-                self._distances = DistanceMatrix(
-                    [u.location for u in self.users],
-                    [e.location for e in self.events],
-                    metric=self.cost_model.metric,
-                )
+            self._distances = DistanceMatrix.from_points(
+                [u.location for u in self.users],
+                [e.location for e in self.events],
+                metric=self.cost_model.metric,
+            )
         return self._distances
 
     @property
-    def distance_backend(self) -> str:
-        """Which backend this instance's distance cache uses (building
-        it if needed): ``"dense"`` or ``"tiled"``."""
-        if isinstance(self.distances, TiledDistanceMatrix):
-            return "tiled"
-        return "dense"
-
-    @property
     def candidate_index(self) -> SpatialCandidateIndex | None:
-        """Spatial pruning index, or ``None`` under the dense backend.
+        """Spatial pruning index; ``None`` exactly when the distances
+        hold the user-event plane.
 
-        Built lazily (tiled backend only): per-event candidate user sets
-        containing exactly the users whose singleton round trip passes
-        the kernel's own budget test — iterating candidates instead of
-        everyone is bit-identical (see :mod:`repro.geo.grid`).  Dense
-        stays the unpruned oracle.
+        Built lazily: per-event candidate user sets containing exactly
+        the users whose singleton round trip passes the kernel's own
+        budget test — iterating candidates instead of everyone is
+        bit-identical (see :mod:`repro.geo.grid`).  With the plane
+        resident the solvers scan every user unpruned.
         """
         if self._candidates is None:
             d = self.distances
-            if not isinstance(d, TiledDistanceMatrix):
+            if d.has_plane:
                 return None
             self._candidates = SpatialCandidateIndex(
                 d.user_coords,
@@ -431,7 +406,7 @@ class Instance:
         ordered = sorted(event_ids, key=starts.__getitem__)
         d = self.distances
         # Only the first/last legs touch the user row — scalar serves
-        # keep the tiled backend from materialising a row per call.
+        # keep the coordinate path from computing a row per call.
         cost = d.user_event(user, ordered[0]) + d.user_event(
             user, ordered[-1]
         )
@@ -523,7 +498,7 @@ class Instance:
                 instance._distances = self._distances
             else:
                 instance._distances = self._distances.with_event_location(
-                    event_id, updated.location, self.users, events
+                    event_id, updated.location
                 )
         if self._candidates is not None:
             # Candidate sets are purely geometric (budget vs round trip),
@@ -579,11 +554,7 @@ class Instance:
                 instance._distances = self._distances
             else:
                 patched = self._distances.copy()
-                patched.replace_user_location(
-                    user_id,
-                    updated.location,
-                    [e.location for e in self.events],
-                )
+                patched.replace_user_location(user_id, updated.location)
                 instance._distances = patched
         if updated.location == old.location:
             if updated.budget == old.budget:
@@ -658,7 +629,7 @@ class Instance:
         )
         if self._distances is not None:
             instance._distances = self._distances.with_appended_event(
-                event.location, self.users, self.events
+                event.location
             )
         if self._candidates is not None:
             instance._candidates = self._candidates.with_appended_event(

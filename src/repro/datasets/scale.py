@@ -3,8 +3,9 @@
 :func:`repro.datasets.meetup.generate_ebsn` draws every location, tag
 set, and utility cell through python-level ``random`` calls — perfect
 for Table-IV-shaped workloads (hundreds of users), hopeless for the
-memory-soak sizes the tiled distance backend targets (10^5 users and
-up, where the n x m python loop alone takes minutes).  This module
+memory-soak sizes whose distances are served from coordinates (10^5
+users and up, past ``repro.geo.distance.PLANE_CELL_LIMIT``, where the
+n x m python loop alone takes minutes).  This module
 generates the same *shape* of instance — clustered city geography,
 sparse skewed utility, conflict-controlled times, budget marginals —
 entirely through numpy array programs, in O(n + m + nnz) python
@@ -23,7 +24,9 @@ Design choices that matter to the soak:
   with geography in the Meetup data.
 * **Small dense planes only** — the generator materialises the n x m
   utility plane (the :class:`~repro.core.model.Instance` contract) but
-  never an n x m distance plane; distances stay with the backend.
+  never an n x m distance plane: at these sizes
+  :class:`~repro.geo.distance.DistanceMatrix` computes each distance
+  from the coordinates.
 """
 
 from __future__ import annotations

@@ -41,10 +41,10 @@ class TravelMetric(Protocol):
     def cross_coords(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Dense block over raw ``(k, 2)`` coordinate arrays.
 
-        The tiled distance backend computes rows straight from resident
-        coordinate arrays; ``cross`` delegates here, so the elementwise
-        operation sequence (and therefore every float result) is shared
-        with the dense path bit for bit.
+        ``DistanceMatrix`` builds its plane and computes rows straight
+        from resident coordinate arrays through this; ``cross`` delegates
+        here too, so the elementwise operation sequence (and therefore
+        every float result) is shared by every path bit for bit.
         """
         ...
 
@@ -62,10 +62,10 @@ class TravelMetric(Protocol):
         """One distance, python-scalar fast path.
 
         MUST return the exact float64 ``cross_coords`` would put in the
-        corresponding cell — the tiled backend serves every scalar
-        through this hook (a 1x1 numpy block costs ~100x the arithmetic
-        in array overhead) and its value-identity contract rides on the
-        equality.  Python floats and correctly-rounded IEEE
+        corresponding cell — without a resident plane every scalar is
+        served through this hook (a 1x1 numpy block costs ~100x the
+        arithmetic in array overhead) and its value-identity contract
+        rides on the equality.  Python floats and correctly-rounded IEEE
         ops make that achievable: same operations, same order.
         """
         ...

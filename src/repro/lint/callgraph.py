@@ -424,6 +424,10 @@ class CallGraph:
         self, mod: _ModuleInfo, executor_wrappers: frozenset[str]
     ) -> None:
         module = mod.context.module
+        # Definition order puts every function before the defs nested in
+        # it, so an enclosing function's locals are typed before a
+        # nested walker reads them as closure variables.
+        local_types: dict[str, dict[str, str]] = {}
         for fn in self.functions.values():
             if fn.module != module:
                 continue
@@ -433,9 +437,16 @@ class CallGraph:
                 if other.module == module
                 and other.qualname == f"{fn.qualname}.{other.name}"
             }
+            enclosing = f"{module}:{fn.qualname.rpartition('.')[0]}"
             walker = _FunctionWalker(
-                self, mod, fn, nested, executor_wrappers
+                self,
+                mod,
+                fn,
+                nested,
+                executor_wrappers,
+                local_types.get(enclosing, {}),
             )
+            local_types[fn.key] = walker.local_types
             for stmt in fn.node.body:
                 walker.visit(stmt)
 
@@ -492,6 +503,7 @@ class _FunctionWalker(ast.NodeVisitor):
         fn: FunctionInfo,
         nested: dict[str, str],
         executor_wrappers: frozenset[str],
+        closure_types: dict[str, str],
     ) -> None:
         self.graph = graph
         self.mod = mod
@@ -499,8 +511,26 @@ class _FunctionWalker(ast.NodeVisitor):
         self.nested = nested
         self.executor_wrappers = executor_wrappers
         self.in_executor = False
-        self.local_types = graph._param_types(mod, fn.node)
-        for node in _walk_shallow(fn.node):
+        # A nested def sees the enclosing function's typed locals, except
+        # the names it binds itself.
+        body = _walk_shallow(fn.node)
+        bound = {
+            arg.arg
+            for arg in ast.walk(fn.node.args)
+            if isinstance(arg, ast.arg)
+        }
+        bound.update(
+            node.id
+            for node in body
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        )
+        self.local_types = {
+            name: kind
+            for name, kind in closure_types.items()
+            if name not in bound
+        }
+        self.local_types.update(graph._param_types(mod, fn.node))
+        for node in body:
             self._seed_local_type(node)
 
     def _seed_local_type(self, node: ast.AST) -> None:

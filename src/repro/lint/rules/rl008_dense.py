@@ -1,24 +1,23 @@
 """RL008 dense-materialisation-discipline: no full distance planes.
 
-The tiled distance backend (``repro.core.tiles``) keeps only user and
-event coordinates resident and computes distances on demand, so memory
-follows the number of users plus events, not their product; its
-``user_event_matrix`` property deliberately raises.  Any call site that
-reads the full ``O(n_users x n_events)`` plane — directly or by
-multiplying it into a derived plane — reintroduces the memory wall the
-backend removes, and breaks outright under ``REPRO_DISTANCE=tiled``.
+``repro.geo.distance.DistanceMatrix`` keeps the ``O(n_users x n_events)``
+user-event plane only for instances under ``PLANE_CELL_LIMIT`` cells;
+larger ones keep user and event coordinates and compute distances on
+demand, so memory follows the number of users plus events, not their
+product, and ``user_event_matrix`` raises.  Any call site that reads the
+full plane — directly or by multiplying it into a derived plane —
+reintroduces that memory wall, and breaks outright on a large instance
+even though every small test instance holds the plane.
 
 The rule flags any ``<expr>.user_event_matrix`` attribute access outside
-the geometry layer (``repro.geo``, which *owns* dense planes — the dense
-backend is the bit-exactness oracle).  The tiled backend only *defines*
-the raising property, which is not an attribute access, so it needs no
-exemption.  Sites that are provably on a dense-only branch (an oracle
-comparison, a dense-baseline bench) carry an inline
-``# repro-lint: ignore[RL008] <reason>`` suppression instead.
+the geometry layer (``repro.geo``, which owns the plane).  Sites that
+are provably on a plane-resident branch (an oracle comparison, a branch
+taken only when ``Instance.candidate_index`` is ``None``) carry an
+inline ``# repro-lint: ignore[RL008] <reason>`` suppression instead.
 
-``event_event_matrix`` is *not* flagged: events number thousands where
-users number millions, so the ``O(m^2)`` block is not the memory wall
-and stays dense under both backends.
+``event_event_matrix`` is *not* flagged: events number hundreds where
+users number hundreds of thousands, so the ``O(m^2)`` block is not the
+memory wall and is built on either path.
 
 See ``docs/linting.md`` and ``docs/memory.md``.
 """
@@ -41,7 +40,7 @@ class DenseMaterialisationDiscipline(Rule):
     description = (
         "the full user-event distance plane must never be materialised "
         "outside the geometry layer — serve through user_event / "
-        "user_event_row / user_event_rows so the tiled backend scales"
+        "user_event_row / user_event_rows so large instances scale"
     )
     default_options = {
         "modules": ["repro"],
@@ -65,7 +64,7 @@ class DenseMaterialisationDiscipline(Rule):
                         node,
                         f"`.{_DENSE_PLANE_ATTR}` materialises the full "
                         "O(n_users x n_events) distance plane and raises "
-                        "under REPRO_DISTANCE=tiled — serve through "
+                        "on instances too large to hold it — serve through "
                         "user_event / user_event_row / user_event_rows, "
                         "or suppress inline on a provably dense-only "
                         "oracle branch",

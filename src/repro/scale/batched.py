@@ -43,6 +43,7 @@ from repro.core.iep.operations import (
     XiDecrease,
     XiIncrease,
 )
+from repro.core.metrics import total_utility
 from repro.core.model import Instance
 from repro.core.plan import GlobalPlan
 from repro.obs import get_recorder
@@ -355,7 +356,7 @@ class BatchedPlatform:
         result.utility = (
             result.applied[-1].utility_after
             if result.applied
-            else self._platform.audit()["utility"]
+            else total_utility(self._platform.instance, self._platform.plan)
         )
         self._stats["folded"] += result.folded
         self._stats["applied"] += len(result.applied)

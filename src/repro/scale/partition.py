@@ -137,7 +137,7 @@ def reachable_matrix(instance: Instance) -> np.ndarray:
     """
     candidates = instance.candidate_index
     if candidates is not None:
-        # Tiled backend: the spatial index already holds exactly the
+        # No plane: the spatial index already holds exactly the
         # ``within`` booleans (its refinement evaluates the identical
         # ``2d + fee <= B + tol`` comparison), so scatter the candidate
         # sets instead of materialising the full distance plane.
@@ -149,7 +149,7 @@ def reachable_matrix(instance: Instance) -> np.ndarray:
         return (instance.utility > 0.0) & within
     budgets = np.array([u.budget for u in instance.users], dtype=float)
     round_trip = (
-        2.0 * instance.distances.user_event_matrix  # repro-lint: ignore[RL008] dense branch reuses the already-materialised oracle plane
+        2.0 * instance.distances.user_event_matrix  # repro-lint: ignore[RL008] no candidate index means the plane is resident
         + instance.fee_vector
     )
     within = round_trip <= budgets[:, None] + BUDGET_TOL

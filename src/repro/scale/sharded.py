@@ -233,7 +233,7 @@ class ShardedSolver(GEPCSolver):
         spatial = instance.candidate_index
         for event in sorted(cancelled):
             spec = instance.events[event]
-            # Under the tiled backend, only this event's spatial candidates
+            # Without the plane, only this event's spatial candidates
             # can ever pass can_attend's budget check (the candidate test
             # is the same 2d+fee bound), so restricting the pool skips no
             # user the dense scan could have added — the committed adds,

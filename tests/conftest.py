@@ -8,17 +8,43 @@ import numpy as np
 import pytest
 
 from repro.core.model import Event, Instance, User
+from repro.core.tiles import use_distance_backend
 from repro.geo.point import Point
 from repro.timeline.interval import Interval
 
 
-def served_user_event_plane(instance: Instance) -> np.ndarray:
-    """The full user-event distance plane, served through the backend.
+def pytest_addoption(parser: pytest.Parser) -> None:
+    parser.addoption(
+        "--distance",
+        choices=("dense", "tiled"),
+        default=None,
+        help="run the whole suite with every instance's distances on one "
+        "path (default: chosen by instance size)",
+    )
 
-    Backend-portable replacement for reading ``user_event_matrix``
-    directly (which the tiled backend refuses): bulk-serves every row via
-    the interface both backends share, so plane comparisons run
-    identically under ``REPRO_DISTANCE=dense`` and ``=tiled``.
+
+@pytest.fixture(autouse=True, scope="session")
+def _distance_path(request: pytest.FixtureRequest):
+    """Pin the distance path for the session when ``--distance`` is given.
+
+    Every served distance is bit-identical on both paths, so the whole
+    suite must pass under ``--distance tiled`` too, where every small
+    instance serves from coordinates and builds a candidate index.
+    """
+    path = request.config.getoption("--distance")
+    if path is None:
+        yield
+        return
+    with use_distance_backend(path):
+        yield
+
+
+def served_user_event_plane(instance: Instance) -> np.ndarray:
+    """The full user-event distance plane, served through the rows.
+
+    Path-portable replacement for reading ``user_event_matrix`` directly
+    (which raises without a resident plane): bulk-serves every row, so
+    plane comparisons run identically on either path.
     """
     ids = np.arange(instance.n_users, dtype=np.intp)
     return instance.distances.user_event_rows(ids)

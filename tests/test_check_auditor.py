@@ -166,10 +166,10 @@ class TestCorruptionDetection:
     def test_instance_distance_corruption(self, solved):
         instance, plan = fresh_plan(solved)
         d = instance.distances
-        if instance.distance_backend == "tiled":
-            # No dense plane exists to poke under the tiled backend:
-            # skew the resident user coordinate instead so every served
-            # distance drifts.
+        if not d.has_plane:
+            # No plane exists to poke on the coordinate path: skew the
+            # resident user coordinate instead so every served distance
+            # drifts.
             d._user_coords[0, 0] += 1.0
             undo = lambda: d._user_coords.__setitem__(  # noqa: E731
                 (0, 0), d._user_coords[0, 0] - 1.0

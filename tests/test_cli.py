@@ -122,34 +122,53 @@ class TestScaleFlags:
 
 
 class TestDistanceFlag:
-    @pytest.fixture(autouse=True)
-    def _reset_backend_override(self):
-        from repro.core import tiles
-
-        yield
-        tiles.set_distance_backend(None)
-
-    def test_distance_defaults_to_env(self):
-        args = build_parser().parse_args(["solve"])
+    def test_fuzz_distance_defaults_to_size_rule(self):
+        args = build_parser().parse_args(["fuzz"])
         assert args.distance is None
 
     def test_distance_choices_enforced(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["solve", "--distance", "sparse"])
+            build_parser().parse_args(["fuzz", "--distance", "sparse"])
 
-    def test_solve_tiled(self, capsys, monkeypatch):
-        from repro.core import tiles
+    @pytest.mark.parametrize(
+        "command", ["solve", "compare", "simulate", "replay", "recover"]
+    )
+    def test_only_fuzz_accepts_distance(self, command):
+        # The path is chosen by instance size; only the fuzzer, a
+        # checking tool, may pin the path it checks.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--distance", "tiled"])
 
-        monkeypatch.delenv("REPRO_DISTANCE", raising=False)
-        code = main(
-            ["solve", "--city", "beijing", "--scale", "0.3",
-             "--distance", "tiled"]
-        )
+    def test_solve_tiled(self, capsys, tmp_path):
+        import json
+
+        from repro.core.tiles import use_distance_backend
+
+        trace = tmp_path / "trace.json"
+        with use_distance_backend("tiled"):
+            code = main(
+                ["solve", "--city", "beijing", "--scale", "0.3",
+                 "--trace-json", str(trace)]
+            )
         assert code == 0
-        # the flag must override the (absent) env var for the whole run
-        assert tiles.active_distance_backend() == "tiled"
+        # The scoped pin reaches the solve: without a plane, greedy
+        # builds the spatial candidate index.
+        assert json.loads(trace.read_text())["counters"]["grid.builds"] >= 1
+
+    def test_fuzz_tiled(self, capsys):
+        from repro.geo import distance
+
+        before = distance._FORCED_PATH
+        assert main(
+            ["fuzz", "--seeds", "1", "--operations", "3", "--users", "9",
+             "--events", "6", "--distance", "tiled"]
+        ) == 0
+        # the pin holds for the run only
+        assert distance._FORCED_PATH == before
 
     def test_solve_tiled_matches_dense(self, capsys):
+        from repro.core.tiles import use_distance_backend
+
         def solver_rows(text):
             # drop the volatile time/memory columns; keep
             # solver/utility/cancelled/violations
@@ -162,10 +181,10 @@ class TestDistanceFlag:
 
         outputs = {}
         for backend in ("dense", "tiled"):
-            assert main(
-                ["solve", "--city", "beijing", "--scale", "0.3",
-                 "--distance", backend]
-            ) == 0
+            with use_distance_backend(backend):
+                assert main(
+                    ["solve", "--city", "beijing", "--scale", "0.3"]
+                ) == 0
             outputs[backend] = solver_rows(capsys.readouterr().out)
         assert outputs["dense"]  # the row pattern actually matched
         assert outputs["tiled"] == outputs["dense"]
@@ -282,3 +301,13 @@ class TestFuzzFlags:
         original = build_parser().parse_args(argv)
         assert cli.fuzz_run_of(replayed) == cli.fuzz_run_of(original)
         assert (replayed.base_seed, replayed.seeds) == (7, 1)
+
+    def test_reproduce_line_keeps_the_distance_path(self):
+        import shlex
+
+        from repro import cli
+        from repro.check import FuzzConfig
+
+        line = cli.fuzz_command(7, FuzzConfig(3, 9, 6), "sharded", "tiled")
+        replayed = build_parser().parse_args(shlex.split(line)[1:])
+        assert (replayed.distance, replayed.sharded) == ("tiled", True)

@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geo.distance import (
-    DistanceMatrix,
-    cross_distances,
-    euclidean,
-    pairwise_distances,
-)
+from repro.geo.distance import DistanceMatrix, euclidean
+from repro.geo.metrics import EUCLIDEAN
 from repro.geo.point import Point
 
 coords = st.floats(-1e3, 1e3, allow_nan=False)
@@ -55,23 +51,23 @@ class TestPoint:
 class TestMatrices:
     def test_pairwise_matches_pointwise(self):
         pts = [Point(0, 0), Point(3, 4), Point(-1, 2)]
-        matrix = pairwise_distances(pts)
+        matrix = EUCLIDEAN.pairwise(pts)
         for i, a in enumerate(pts):
             for j, b in enumerate(pts):
                 assert matrix[i, j] == pytest.approx(a.distance_to(b))
 
     def test_pairwise_empty(self):
-        assert pairwise_distances([]).shape == (0, 0)
+        assert EUCLIDEAN.pairwise([]).shape == (0, 0)
 
     def test_cross_matches_pointwise(self):
         left = [Point(0, 0), Point(1, 1)]
         right = [Point(2, 2), Point(3, 3), Point(4, 4)]
-        matrix = cross_distances(left, right)
+        matrix = EUCLIDEAN.cross(left, right)
         assert matrix.shape == (2, 3)
         assert matrix[1, 2] == pytest.approx(Point(1, 1).distance_to(Point(4, 4)))
 
     def test_cross_empty(self):
-        assert cross_distances([], [Point(0, 0)]).shape == (0, 1)
+        assert EUCLIDEAN.cross([], [Point(0, 0)]).shape == (0, 1)
 
     def test_euclidean_helper(self):
         assert euclidean(Point(0, 0), Point(0, 5)) == 5.0
@@ -81,7 +77,7 @@ class TestDistanceMatrix:
     def setup_method(self):
         self.users = [Point(0, 0), Point(10, 0)]
         self.events = [Point(0, 5), Point(10, 5), Point(5, 5)]
-        self.matrix = DistanceMatrix(self.users, self.events)
+        self.matrix = DistanceMatrix.from_points(self.users, self.events)
 
     def test_shapes(self):
         assert self.matrix.n_users == 2
@@ -105,9 +101,7 @@ class TestDistanceMatrix:
             row[0] = 99.0
 
     def test_replace_event_location(self):
-        events = list(self.events)
-        events[2] = Point(0, 0)
-        self.matrix.replace_event_location(2, Point(0, 0), self.users, events)
+        self.matrix.replace_event_location(2, Point(0, 0))
         assert self.matrix.user_event(0, 2) == pytest.approx(0.0)
         assert self.matrix.event_event(0, 2) == pytest.approx(5.0)
         assert self.matrix.event_event(2, 0) == pytest.approx(5.0)

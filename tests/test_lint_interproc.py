@@ -203,6 +203,40 @@ def test_rl011_flags_loop_confined_access_from_executor():
     assert "loop-confined" in result.findings[0].message
 
 
+CLOSURE = """
+class Record:
+    def __init__(self):
+        self.plan = None
+
+class Tenant:
+    def __init__(self):
+        self.record = Record()  # loop-confined
+
+class App:
+    async def handler(self, loop):
+        tenant = Tenant()
+
+        def summarize():
+            return tenant.record.plan
+
+        return await loop.run_in_executor(None, summarize)
+"""
+
+
+def test_rl011_flags_loop_confined_access_through_a_closure():
+    result = run(CLOSURE, select=["RL011"])
+    assert codes(result) == ["RL011"]
+    assert "summarize" in result.findings[0].message
+
+
+def test_rl011_closure_name_rebound_in_the_nested_def_is_its_own():
+    rebound = CLOSURE.replace(
+        "            return tenant.record.plan",
+        "            tenant = object()\n            return tenant.record",
+    )
+    assert codes(run(rebound, select=["RL011"])) == []
+
+
 def test_rl011_loop_confined_clean_on_the_loop():
     result = run(
         """

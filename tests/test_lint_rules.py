@@ -383,13 +383,13 @@ def test_rl008_allows_geometry_layer_and_tiles():
             return dense.user_event_matrix
         """
     assert codes(run(snippet, module="repro.geo.distance")) == []
-    # The tiled backend only *defines* the raising property; reading a
-    # plane there is flagged like anywhere else outside repro.geo.
+    # Defining the property is not an access; reading a plane is
+    # flagged everywhere outside repro.geo.
     definition = """
-        class TiledDistanceMatrix:
+        class DistanceMatrix:
             @property
             def user_event_matrix(self):
-                raise RuntimeError("no dense plane")
+                raise RuntimeError("no user-event plane")
         """
     assert codes(run(definition, module="repro.core.tiles")) == []
     assert codes(run(snippet, module="repro.core.tiles")) == ["RL008"]

@@ -133,6 +133,28 @@ class TestFlushAndBackpressure:
         assert result.violations == 0
         assert len(platform.applied_log) == 1
 
+    def test_all_rejected_flush_checks_the_plan_once(
+        self, platform, monkeypatch
+    ):
+        from repro.core.constraints import check_plan
+        from repro.platform import service
+        from repro.scale import batched
+
+        calls = []
+
+        def counting(instance, plan):
+            calls.append(plan)
+            return check_plan(instance, plan)
+
+        # Every module that calls check_plan on the flush path.
+        monkeypatch.setattr(batched, "check_plan", counting)
+        monkeypatch.setattr(service, "check_plan", counting)
+        platform.enqueue(EtaDecrease(10**6, 1))  # no such event
+        result = platform.flush()
+        assert len(result.rejected) == 1 and not result.applied
+        assert len(calls) == 1
+        assert result.utility == platform.snapshot()["utility"]
+
     def test_stats_track_coalescing(self, platform):
         upper = platform.instance.events[0].upper
         platform.enqueue(EtaDecrease(0, max(1, upper - 1)))

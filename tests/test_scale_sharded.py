@@ -51,7 +51,7 @@ def test_sharded_random_instances_feasible(seed):
 
 
 #: ``greedy.*``/``fill.*`` totals of ``ShardedSolver(shards=4, seed=0)`` on
-#: beijing at scale 0.5.  The tiled backend's greedy sees its spatial
+#: beijing at scale 0.5.  On the coordinate path greedy sees its spatial
 #: candidates only, so it evaluates (and feasibility-checks) fewer pairs.
 _SHARDED_COUNTERS = {
     "fill.added": 108.0,
