@@ -161,79 +161,72 @@ class InvariantAuditor:
         self,
         plan: GlobalPlan,
         users: Sequence[int] | None = None,
-        strategies: Sequence[str] | None = None,
     ) -> AuditReport:
-        """Cross-audit every registered kernel strategy on ``plan``.
+        """Audit the batched kernel against the scalar oracle on ``plan``.
 
-        The strategy contract is *bit-identity*, not closeness: for each
-        audited user, every strategy's ``row`` — and every vectorized
-        strategy's ``block`` — must reproduce the scalar reference's
-        insertion deltas and feasibility mask exactly.  This is what
-        makes ``REPRO_KERNEL`` a pure performance knob.
+        The contract is *bit-identity*, not closeness: for each audited
+        user, :func:`~repro.core.kernel.batched_row` and the matching row
+        of :func:`~repro.core.kernel.batched_block` must reproduce
+        :func:`~repro.core.kernel.scalar_row`'s insertion deltas and
+        feasibility mask exactly.  This is what lets the oracle stand in
+        for the production path under ``use_scalar_kernel()`` without
+        changing a plan.
         """
         from repro.core import kernel as kernel_mod
 
         report = AuditReport()
-        names = (
-            list(strategies)
-            if strategies is not None
-            else kernel_mod.available_strategies()
-        )
         user_ids = (
             list(range(plan.instance.n_users)) if users is None else list(users)
         )
-        reference = kernel_mod.resolve_strategy("scalar")
-        expected = {user: reference.row(plan, user) for user in user_ids}
-        user_array = np.asarray(user_ids, dtype=np.intp)
-        for name in names:
-            strategy = kernel_mod.resolve_strategy(name)
-            for user in user_ids:
-                deltas, mask = strategy.row(plan, user)
-                ref_deltas, ref_mask = expected[user]
-                report.checks += 2
-                if not np.array_equal(deltas, ref_deltas):
-                    worst = int(np.abs(deltas - ref_deltas).argmax())
-                    report.mismatches.append(
-                        CacheMismatch(
-                            kind="kernel_strategy_deltas",
-                            cached=float(deltas[worst]),
-                            expected=float(ref_deltas[worst]),
-                            user=user,
-                            event=worst,
-                            detail=f"strategy {name!r} row != scalar row",
-                        )
+        expected = {
+            user: kernel_mod.scalar_row(plan, user) for user in user_ids
+        }
+        for user in user_ids:
+            deltas, mask = kernel_mod.batched_row(plan, user)
+            ref_deltas, ref_mask = expected[user]
+            report.checks += 2
+            if not np.array_equal(deltas, ref_deltas):
+                worst = int(np.abs(deltas - ref_deltas).argmax())
+                report.mismatches.append(
+                    CacheMismatch(
+                        kind="kernel_strategy_deltas",
+                        cached=float(deltas[worst]),
+                        expected=float(ref_deltas[worst]),
+                        user=user,
+                        event=worst,
+                        detail="batched row != scalar row",
                     )
-                if not np.array_equal(mask, ref_mask):
-                    bad = np.flatnonzero(mask != ref_mask).tolist()
-                    report.mismatches.append(
-                        CacheMismatch(
-                            kind="kernel_strategy_mask",
-                            cached=bool(mask[bad[0]]),
-                            expected=bool(ref_mask[bad[0]]),
-                            user=user,
-                            event=bad[0],
-                            detail=(
-                                f"strategy {name!r} mask != scalar mask "
-                                f"at events {bad[:5]}"
-                            ),
-                        )
+                )
+            if not np.array_equal(mask, ref_mask):
+                bad = np.flatnonzero(mask != ref_mask).tolist()
+                report.mismatches.append(
+                    CacheMismatch(
+                        kind="kernel_strategy_mask",
+                        cached=bool(mask[bad[0]]),
+                        expected=bool(ref_mask[bad[0]]),
+                        user=user,
+                        event=bad[0],
+                        detail=f"batched mask != scalar mask at events {bad[:5]}",
                     )
-            block_deltas, block_mask = strategy.block(plan, user_array)
-            for k, user in enumerate(user_ids):
-                ref_deltas, ref_mask = expected[user]
-                report.checks += 1
-                if not np.array_equal(
-                    block_deltas[k], ref_deltas
-                ) or not np.array_equal(block_mask[k], ref_mask):
-                    report.mismatches.append(
-                        CacheMismatch(
-                            kind="kernel_strategy_block",
-                            cached="<block row>",
-                            expected="<scalar row>",
-                            user=user,
-                            detail=f"strategy {name!r} block row diverged",
-                        )
+                )
+        block_deltas, block_mask = kernel_mod.batched_block(
+            plan, np.asarray(user_ids, dtype=np.intp)
+        )
+        for k, user in enumerate(user_ids):
+            ref_deltas, ref_mask = expected[user]
+            report.checks += 1
+            if not np.array_equal(
+                block_deltas[k], ref_deltas
+            ) or not np.array_equal(block_mask[k], ref_mask):
+                report.mismatches.append(
+                    CacheMismatch(
+                        kind="kernel_strategy_block",
+                        cached="<block row>",
+                        expected="<scalar row>",
+                        user=user,
+                        detail="batched block row diverged",
                     )
+                )
         obs = get_recorder()
         obs.count("check.audit.kernel_strategy_checks", report.checks)
         obs.count("check.audit.mismatches", len(report.mismatches))

@@ -537,10 +537,10 @@ def _engine_seed(
         _measure_drift(plan, report, stats)
         _check_kernel_vs_scalar(instance, plan, step, report)
 
-    # Strategy equivalence runs once per seed on the final state — after
-    # the operation stream has bent the instance through NewEvent
+    # Batched-vs-oracle equivalence runs once per seed on the final state
+    # — after the operation stream has bent the instance through NewEvent
     # appends, bound shifts, and cache patches, which is exactly where a
-    # strategy shortcut would show.
+    # batched shortcut would show.
     strategy_audit = auditor.audit_kernel_strategies(plan)
     report.checks += strategy_audit.checks
     report.mismatches.extend(strategy_audit.mismatches)

@@ -72,7 +72,7 @@ class UtilityFill:
         with obs.span("fill.utility"):
             residual = self._residual_capacity(instance, plan, excluded)
 
-            if kernel_mod.active_kernel().vectorized_block:
+            if not kernel_mod.scalar_kernel_active():
                 added, checks, n_candidates = self._fill_fast(
                     instance, plan, residual, only_users
                 )
@@ -103,9 +103,11 @@ class UtilityFill:
         residual: np.ndarray,
         only_users: set[int] | None,
     ) -> tuple[int, int, int]:
-        """The candidate loop engineered for the batched kernel strategy.
+        """The production candidate loop.
 
-        Decision-for-decision identical to the ``can_attend`` loop below —
+        Decision-for-decision identical to the reference ``can_attend``
+        loop in :meth:`fill` (run only under
+        :func:`repro.core.kernel.use_scalar_kernel`) —
         same candidate order, same accept/reject outcomes — but the per-
         candidate work is O(1) python:
 
@@ -263,8 +265,8 @@ class UtilityFill:
         if not open_mask.any() or users.size == 0:
             return []
         open_events = np.flatnonzero(open_mask)
-        # One batched kernel pass for every user at once (the active
-        # REPRO_KERNEL strategy decides how), then slice down to open events.
+        # One kernel block pass for every user at once (the scalar oracle
+        # under use_scalar_kernel()), then slice down to open events.
         _, feasible = plan.kernel_block(users)
         eligible = feasible[:, open_events]
         rows, cols = np.nonzero(eligible)

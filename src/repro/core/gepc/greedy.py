@@ -90,7 +90,7 @@ class GreedySolver(GEPCSolver):
                 if candidates is not None
                 else None
             )
-            if kernel_mod.active_kernel().vectorized_block:
+            if not kernel_mod.scalar_kernel_active():
                 if candidates is None:
                     plan.kernel_block(np.arange(instance.n_users))
                 else:
@@ -144,11 +144,13 @@ class GreedySolver(GEPCSolver):
         Feasibility is read from the plan's vectorized ``feasible_mask``
         kernel — one numpy row per plan state instead of a Python splice
         per candidate; the walk down the preference order (and therefore
-        the chosen events) is identical to the scalar loop's.  Under a
-        batched strategy (``planes`` passed), the first mask comes from the
+        the chosen events) is identical to the scalar loop's.  On the
+        production path (``planes`` passed), the first mask comes from the
         primed block pass and every post-add recheck runs the same checks
         as O(1) python scalar work on :class:`SplicePlanes` — bit-identical
-        decisions without per-add row rebuilds.
+        decisions without per-add row rebuilds.  The ``planes is None``
+        loop is the reference, run only under
+        :func:`repro.core.kernel.use_scalar_kernel`.
         """
         utility_row = instance.utility[user]
         preference = np.argsort(-utility_row, kind="stable")

@@ -1,35 +1,39 @@
-"""Insertion-delta / feasible-mask kernel strategies.
+"""Insertion-delta / feasible-mask kernel.
 
 :class:`~repro.core.plan.GlobalPlan` caches, per user, the pair
 ``(insertion_deltas, feasible_mask)`` its solvers' inner loops run on.
-This module owns the *math* that produces those rows, behind a strategy
-interface so the same cache can be filled two interchangeable ways:
+This module owns the *math* that produces those rows, as two pairs of
+plain functions:
 
-``batched`` (default)
-    The production path.  :meth:`KernelStrategy.row` evaluates every
-    candidate event of one user at once (``DistanceMatrix`` row slices +
-    ``searchsorted`` splice positions); :meth:`KernelStrategy.block`
-    computes the delta matrix and feasibility mask for a whole batch of
-    users in one vectorized pass (chunked so the ``batch × plan-length ×
-    events`` intermediate stays small).
-``scalar``
-    Pure-python per-event splice arithmetic — slow by design, the ground
-    truth the batched strategy is audited and fuzzed against.
+:func:`batched_row` / :func:`batched_block`
+    The production path.  ``batched_row`` evaluates every candidate
+    event of one user at once (``DistanceMatrix`` row slices +
+    ``searchsorted`` splice positions); ``batched_block`` computes the
+    delta matrix and feasibility mask for a whole batch of users in one
+    vectorized pass (chunked so the ``batch × plan-length × events``
+    intermediate stays small).
+:func:`scalar_row` / :func:`scalar_block`
+    Pure-python per-event splice arithmetic — slow by design, the oracle
+    the batched path is audited and fuzzed against.
 
-Both strategies are **bit-identical**: every elementwise float operation
-is performed in the same order, so deltas compare equal with ``==`` and
-the masks match exactly.  ``repro.check`` enforces this
+Both are **bit-identical**: every elementwise float operation is
+performed in the same order, so deltas compare equal with ``==`` and the
+masks match exactly.  ``repro.check`` enforces this
 (:meth:`InvariantAuditor.audit_kernel_strategies`, the differential
-fuzzer) and CI pins each strategy via the ``REPRO_KERNEL`` env flag.
+fuzzer).  :func:`kernel_row` / :func:`kernel_block` always run the
+batched path, except inside :func:`use_scalar_kernel`, the one scoped
+override, which also sends the greedy grab and the utility fill to their
+reference loops (tests and ``pytest --kernel scalar`` use it).
 
-Strategies read plan internals (``_plans``, ``_blocked_row``,
+The kernel reads plan internals (``_plans``, ``_blocked_row``,
 ``_route_costs``) by design — this module is the plan's kernel, split out
-so the dispatch is swappable; it never *writes* plan or instance caches.
+so the oracle sits next to the production path; it never *writes* plan or
+instance caches.
 """
 
 from __future__ import annotations
 
-import os
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -40,234 +44,202 @@ from repro.obs import get_recorder
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.plan import GlobalPlan
 
-#: Environment flag CI pins per matrix leg: ``batched|scalar``.
-ENV_VAR = "REPRO_KERNEL"
-
-#: Strategy used when ``REPRO_KERNEL`` is unset.
-DEFAULT_STRATEGY = "batched"
+#: Users per chunk in :func:`batched_block` — bounds the
+#: ``chunk × kmax × events`` intermediate.
+BLOCK_CHUNK = 256
 
 
-class KernelStrategy:
-    """One way of computing a user's (deltas, mask) kernel row.
+def scalar_row(plan: "GlobalPlan", user: int) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's ``(insertion_deltas, feasible_mask)`` for one user.
 
-    ``row``/``block`` return *fresh, writable* arrays — the plan locks and
-    caches them; strategies never touch the plan's caches themselves.
+    Returns *fresh, writable* arrays, as every function here does — the
+    plan locks and caches them.
     """
-
-    name = "base"
-
-    #: Whether :meth:`block` is a genuinely vectorized multi-user pass
-    #: (callers use this to decide if eagerly priming many rows pays off).
-    vectorized_block = False
-
-    def row(
-        self, plan: "GlobalPlan", user: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(insertion_deltas, feasible_mask)`` for one user."""
-        raise NotImplementedError
-
-    def block(
-        self, plan: "GlobalPlan", users: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked rows for ``users`` — default: one :meth:`row` each."""
-        m = plan.instance.n_events
-        deltas = np.empty((users.size, m), dtype=float)
-        mask = np.empty((users.size, m), dtype=bool)
-        for i, user in enumerate(users):
-            row_deltas, row_mask = self.row(plan, int(user))
-            deltas[i] = row_deltas
-            mask[i] = row_mask
-        return deltas, mask
+    instance = plan.instance
+    m = instance.n_events
+    events = plan._plans[user]
+    deltas = np.empty(m, dtype=float)
+    for event in range(m):
+        _, delta = plan._splice(user, events, event)
+        deltas[event] = delta
+    blocked = plan._blocked_row(user)
+    base = plan._route_costs[user]
+    budget = instance.users[user].budget
+    utility_row = instance.utility[user]
+    assigned = set(events)
+    mask = np.zeros(m, dtype=bool)
+    for event in range(m):
+        mask[event] = (
+            float(utility_row[event]) > 0.0
+            and int(blocked[event]) == 0
+            and base + float(deltas[event]) <= budget + BUDGET_TOL
+            and event not in assigned
+        )
+    return deltas, mask
 
 
-class ScalarKernel(KernelStrategy):
-    """Pure-python reference: per-event scalar splice arithmetic."""
-
-    name = "scalar"
-
-    def row(
-        self, plan: "GlobalPlan", user: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        instance = plan.instance
-        m = instance.n_events
-        events = plan._plans[user]
-        deltas = np.empty(m, dtype=float)
-        for event in range(m):
-            _, delta = plan._splice(user, events, event)
-            deltas[event] = delta
-        blocked = plan._blocked_row(user)
-        base = plan._route_costs[user]
-        budget = instance.users[user].budget
-        utility_row = instance.utility[user]
-        assigned = set(events)
-        mask = np.zeros(m, dtype=bool)
-        for event in range(m):
-            mask[event] = (
-                float(utility_row[event]) > 0.0
-                and int(blocked[event]) == 0
-                and base + float(deltas[event]) <= budget + BUDGET_TOL
-                and event not in assigned
-            )
-        return deltas, mask
+def scalar_block(
+    plan: "GlobalPlan", users: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked oracle rows for ``users``: one :func:`scalar_row` each."""
+    m = plan.instance.n_events
+    deltas = np.empty((users.size, m), dtype=float)
+    mask = np.empty((users.size, m), dtype=bool)
+    for i, user in enumerate(users):
+        deltas[i], mask[i] = scalar_row(plan, int(user))
+    return deltas, mask
 
 
-class BatchedKernel(KernelStrategy):
-    """Vectorized rows and a fully batched user×event block pass.
+def batched_row(
+    plan: "GlobalPlan", user: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One user's row, every candidate event at once.
 
-    :meth:`row` evaluates every candidate event of one user at once over
-    ``DistanceMatrix`` row slices.  The :meth:`block` path computes every
-    busy user's splice positions in one ``plan_starts <= starts``
-    comparison (inf-padded to the chunk's longest plan), then evaluates
-    the first/middle/last splice branches as whole matrices.  Operation
-    order matches :meth:`row` element for element, so the results are
-    bit-identical.
+    Evaluated over ``DistanceMatrix`` row slices; operation order matches
+    :func:`scalar_row` element for element.
     """
-
-    name = "batched"
-
-    vectorized_block = True
-
-    #: Users per chunk — bounds the ``chunk × kmax × events`` intermediate.
-    chunk_size = 256
-
-    def row(
-        self, plan: "GlobalPlan", user: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        instance = plan.instance
-        events = plan._plans[user]
-        d = instance.distances
-        user_row = d.user_event_row(user)
-        fees = instance.fee_vector
-        if not events:
-            deltas = 2.0 * user_row + fees
-        else:
-            starts = instance.event_starts
-            hops = np.asarray(events)
-            plan_starts = starts[hops]
-            # Insertion goes after every plan event with start <= candidate
-            # start — exactly the scalar splice's scan.
-            positions = np.searchsorted(plan_starts, starts, side="right")
-            ee = d.event_event_matrix
-            k = len(events)
-            ids = plan._event_ids
-            pred = hops.take(positions - 1, mode="clip")
-            succ = hops.take(positions, mode="clip")
-            middle = -ee[pred, succ] + ee[pred, ids] + ee[ids, succ]
-            first = -user_row[hops[0]] + user_row + ee[:, hops[0]]
-            last = -user_row[hops[-1]] + ee[hops[-1]] + user_row
-            deltas = np.where(
-                positions == 0, first, np.where(positions == k, last, middle)
-            ) + fees
-        mask = instance.utility[user] > 0.0
-        mask &= plan._blocked_row(user) == 0
-        budget = instance.users[user].budget
-        mask &= plan._route_costs[user] + deltas <= budget + BUDGET_TOL
-        if events:
-            mask[events] = False
-        return deltas, mask
-
-    def block(
-        self, plan: "GlobalPlan", users: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        instance = plan.instance
-        n = users.size
-        m = instance.n_events
-        deltas = np.empty((n, m), dtype=float)
-        if n == 0 or m == 0:
-            return deltas, np.zeros((n, m), dtype=bool)
-        d = instance.distances
-        fees = instance.fee_vector
-        lengths = np.fromiter(
-            (len(plan._plans[int(u)]) for u in users), dtype=np.intp, count=n
-        )
-        empty = lengths == 0
-        if empty.any():
-            # Chunked like the busy path: on the coordinate path a
-            # single all-users gather would assemble the full n x m plane
-            # in one allocation, defeating the bounded working set.
-            # Chunking changes no per-row elementwise op, so the deltas
-            # stay bit-identical.
-            for chunk in _chunks(np.flatnonzero(empty), self.chunk_size):
-                deltas[chunk] = (
-                    2.0 * d.user_event_rows(users[chunk]) + fees
-                )
-        busy = np.flatnonzero(~empty)
-        for chunk in _chunks(busy, self.chunk_size):
-            self._busy_deltas(plan, users, lengths, chunk, deltas)
-
-        mask = instance.utility[users] > 0.0
-        blocked = np.empty((n, m), dtype=np.int16)
-        for i in range(n):
-            blocked[i] = plan._blocked_row(int(users[i]))
-        mask &= blocked == 0
-        budgets = np.fromiter(
-            (instance.users[int(u)].budget for u in users),
-            dtype=float,
-            count=n,
-        )
-        base = np.fromiter(
-            (plan._route_costs[int(u)] for u in users), dtype=float, count=n
-        )
-        mask &= base[:, None] + deltas <= budgets[:, None] + BUDGET_TOL
-        for i, user in enumerate(users):
-            events = plan._plans[int(user)]
-            if events:
-                mask[i, events] = False
-        return deltas, mask
-
-    def _busy_deltas(
-        self,
-        plan: "GlobalPlan",
-        users: np.ndarray,
-        lengths: np.ndarray,
-        rows: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        """Fill ``out[rows]`` for users with non-empty plans (one chunk)."""
-        instance = plan.instance
-        d = instance.distances
-        ee = d.event_event_matrix
+    instance = plan.instance
+    events = plan._plans[user]
+    d = instance.distances
+    user_row = d.user_event_row(user)
+    fees = instance.fee_vector
+    if not events:
+        deltas = 2.0 * user_row + fees
+    else:
         starts = instance.event_starts
-        fees = instance.fee_vector
+        hops = np.asarray(events)
+        plan_starts = starts[hops]
+        # Insertion goes after every plan event with start <= candidate
+        # start — exactly the scalar splice's scan.
+        positions = np.searchsorted(plan_starts, starts, side="right")
+        ee = d.event_event_matrix
+        k = len(events)
         ids = plan._event_ids
-        b = rows.size
-        k = lengths[rows]
-        kmax = int(k.max())
-        hops = np.zeros((b, kmax), dtype=np.intp)
-        plan_starts = np.full((b, kmax), np.inf)
-        for i, row in enumerate(rows):
-            events = plan._plans[int(users[row])]
-            hops[i, : len(events)] = events
-            plan_starts[i, : len(events)] = starts[events]
-        # positions[i, j] = searchsorted(plan_starts_i, starts_j, "right"):
-        # how many of user i's plan starts are <= candidate j's start.  The
-        # inf padding never counts, so padded rows agree with row()'s
-        # searchsorted over the unpadded plan.
-        positions = (plan_starts[:, :, None] <= starts[None, None, :]).sum(
-            axis=1
-        )
-        rng = np.arange(b)
-        # take(..., mode="clip") equivalents: positions is in [0, k_i], so
-        # pred only needs the low clip and succ only the high one.
-        pred = hops[rng[:, None], np.maximum(positions - 1, 0)]
-        succ = hops[rng[:, None], np.minimum(positions, (k - 1)[:, None])]
-        first_event = hops[:, 0]
-        last_event = hops[rng, k - 1]
-        ue_sel = d.user_event_rows(users[rows])
-        middle = (
-            -ee[pred, succ] + ee[pred, ids[None, :]] + ee[ids[None, :], succ]
-        )
-        first = (
-            -ue_sel[rng, first_event][:, None]
-            + ue_sel
-            + ee[ids[None, :], first_event[:, None]]
-        )
-        last = -ue_sel[rng, last_event][:, None] + ee[last_event] + ue_sel
-        out[rows] = np.where(
-            positions == 0,
-            first,
-            np.where(positions == k[:, None], last, middle),
+        pred = hops.take(positions - 1, mode="clip")
+        succ = hops.take(positions, mode="clip")
+        middle = -ee[pred, succ] + ee[pred, ids] + ee[ids, succ]
+        first = -user_row[hops[0]] + user_row + ee[:, hops[0]]
+        last = -user_row[hops[-1]] + ee[hops[-1]] + user_row
+        deltas = np.where(
+            positions == 0, first, np.where(positions == k, last, middle)
         ) + fees
+    mask = instance.utility[user] > 0.0
+    mask &= plan._blocked_row(user) == 0
+    budget = instance.users[user].budget
+    mask &= plan._route_costs[user] + deltas <= budget + BUDGET_TOL
+    if events:
+        mask[events] = False
+    return deltas, mask
+
+
+def batched_block(
+    plan: "GlobalPlan", users: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A fully batched user×event pass for ``users``.
+
+    Computes every busy user's splice positions in one ``plan_starts <=
+    starts`` comparison (inf-padded to the chunk's longest plan), then
+    evaluates the first/middle/last splice branches as whole matrices.
+    Operation order matches :func:`batched_row` element for element, so
+    the results are bit-identical.
+    """
+    instance = plan.instance
+    n = users.size
+    m = instance.n_events
+    deltas = np.empty((n, m), dtype=float)
+    if n == 0 or m == 0:
+        return deltas, np.zeros((n, m), dtype=bool)
+    d = instance.distances
+    fees = instance.fee_vector
+    lengths = np.fromiter(
+        (len(plan._plans[int(u)]) for u in users), dtype=np.intp, count=n
+    )
+    empty = lengths == 0
+    if empty.any():
+        # Chunked like the busy path: on the coordinate path a single
+        # all-users gather would assemble the full n x m plane in one
+        # allocation, defeating the bounded working set.  Chunking
+        # changes no per-row elementwise op, so the deltas stay
+        # bit-identical.
+        for chunk in _chunks(np.flatnonzero(empty), BLOCK_CHUNK):
+            deltas[chunk] = 2.0 * d.user_event_rows(users[chunk]) + fees
+    busy = np.flatnonzero(~empty)
+    for chunk in _chunks(busy, BLOCK_CHUNK):
+        _busy_deltas(plan, users, lengths, chunk, deltas)
+
+    mask = instance.utility[users] > 0.0
+    blocked = np.empty((n, m), dtype=np.int16)
+    for i in range(n):
+        blocked[i] = plan._blocked_row(int(users[i]))
+    mask &= blocked == 0
+    budgets = np.fromiter(
+        (instance.users[int(u)].budget for u in users),
+        dtype=float,
+        count=n,
+    )
+    base = np.fromiter(
+        (plan._route_costs[int(u)] for u in users), dtype=float, count=n
+    )
+    mask &= base[:, None] + deltas <= budgets[:, None] + BUDGET_TOL
+    for i, user in enumerate(users):
+        events = plan._plans[int(user)]
+        if events:
+            mask[i, events] = False
+    return deltas, mask
+
+
+def _busy_deltas(
+    plan: "GlobalPlan",
+    users: np.ndarray,
+    lengths: np.ndarray,
+    rows: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Fill ``out[rows]`` for users with non-empty plans (one chunk)."""
+    instance = plan.instance
+    d = instance.distances
+    ee = d.event_event_matrix
+    starts = instance.event_starts
+    fees = instance.fee_vector
+    ids = plan._event_ids
+    b = rows.size
+    k = lengths[rows]
+    kmax = int(k.max())
+    hops = np.zeros((b, kmax), dtype=np.intp)
+    plan_starts = np.full((b, kmax), np.inf)
+    for i, row in enumerate(rows):
+        events = plan._plans[int(users[row])]
+        hops[i, : len(events)] = events
+        plan_starts[i, : len(events)] = starts[events]
+    # positions[i, j] = searchsorted(plan_starts_i, starts_j, "right"):
+    # how many of user i's plan starts are <= candidate j's start.  The
+    # inf padding never counts, so padded rows agree with batched_row()'s
+    # searchsorted over the unpadded plan.
+    positions = (plan_starts[:, :, None] <= starts[None, None, :]).sum(
+        axis=1
+    )
+    rng = np.arange(b)
+    # take(..., mode="clip") equivalents: positions is in [0, k_i], so
+    # pred only needs the low clip and succ only the high one.
+    pred = hops[rng[:, None], np.maximum(positions - 1, 0)]
+    succ = hops[rng[:, None], np.minimum(positions, (k - 1)[:, None])]
+    first_event = hops[:, 0]
+    last_event = hops[rng, k - 1]
+    ue_sel = d.user_event_rows(users[rows])
+    middle = (
+        -ee[pred, succ] + ee[pred, ids[None, :]] + ee[ids[None, :], succ]
+    )
+    first = (
+        -ue_sel[rng, first_event][:, None]
+        + ue_sel
+        + ee[ids[None, :], first_event[:, None]]
+    )
+    last = -ue_sel[rng, last_event][:, None] + ee[last_event] + ue_sel
+    out[rows] = np.where(
+        positions == 0,
+        first,
+        np.where(positions == k[:, None], last, middle),
+    ) + fees
 
 
 def _chunks(indices: np.ndarray, size: int) -> Iterator[np.ndarray]:
@@ -365,104 +337,53 @@ class SplicePlanes:
 
 
 # --------------------------------------------------------------------- #
-# Registry and selection
+# The oracle override and dispatch (what GlobalPlan and the solvers call)
 # --------------------------------------------------------------------- #
 
-_STRATEGIES: dict[str, KernelStrategy] = {}
-# Resolved lazily from the env flag.  Two threads racing the first
-# resolve both store the same registry object, so no lock is needed.
-_ACTIVE: KernelStrategy | None = None
+# Set only inside use_scalar_kernel(); process-wide like the distance
+# path override, so executor threads a test drives see it too.
+_SCALAR = False
 
 
-def register_strategy(strategy: KernelStrategy) -> KernelStrategy:
-    _STRATEGIES[strategy.name] = strategy
-    return strategy
+@contextmanager
+def use_scalar_kernel() -> Iterator[None]:
+    """Run the scalar oracle for the duration of the block.
 
-
-register_strategy(ScalarKernel())
-register_strategy(BatchedKernel())
-
-
-def available_strategies() -> tuple[str, ...]:
-    """Registered strategy names."""
-    return tuple(sorted(_STRATEGIES))
-
-
-def resolve_strategy(name: str) -> KernelStrategy:
-    """Look up a strategy by name; unknown names fail loudly."""
-    try:
-        return _STRATEGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel strategy {name!r}; available: "
-            + ", ".join(available_strategies())
-        ) from None
-
-
-def active_kernel() -> KernelStrategy:
-    """The strategy in effect: explicit override, else ``REPRO_KERNEL``."""
-    global _ACTIVE
-    active = _ACTIVE
-    if active is None:
-        active = _ACTIVE = resolve_strategy(
-            os.environ.get(ENV_VAR, DEFAULT_STRATEGY)
-        )
-    return active
-
-
-def set_kernel(name: str | None) -> KernelStrategy:
-    """Pin the active strategy (``None`` re-resolves from the env flag)."""
-    global _ACTIVE
-    _ACTIVE = resolve_strategy(
-        os.environ.get(ENV_VAR, DEFAULT_STRATEGY) if name is None else name
-    )
-    return _ACTIVE
-
-
-class use_kernel:
-    """Context manager pinning a strategy for a ``with`` block.
-
-    Restores the previously active strategy (including "unset, resolve
-    from env") on exit — the auditor and tests use this to compare
-    strategies without leaking global state.
+    Inside the block :func:`kernel_row`/:func:`kernel_block` compute
+    with :func:`scalar_row`/:func:`scalar_block`, and the greedy grab
+    and the utility fill take their reference loops
+    (:func:`scalar_kernel_active`).  Nests, and restores the previous
+    state on exit.
     """
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-        self._previous: KernelStrategy | None = None
-
-    def __enter__(self) -> KernelStrategy:
-        global _ACTIVE
-        self._previous = _ACTIVE
-        _ACTIVE = resolve_strategy(self._name)
-        return _ACTIVE
-
-    def __exit__(self, *exc_info: object) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous
+    global _SCALAR
+    previous = _SCALAR
+    _SCALAR = True
+    try:
+        yield
+    finally:
+        _SCALAR = previous
 
 
-# --------------------------------------------------------------------- #
-# Dispatch helpers (what GlobalPlan calls)
-# --------------------------------------------------------------------- #
+def scalar_kernel_active() -> bool:
+    """Whether the caller runs inside :func:`use_scalar_kernel`."""
+    return _SCALAR
 
 
 def kernel_row(plan: "GlobalPlan", user: int) -> tuple[np.ndarray, np.ndarray]:
-    """One user's (deltas, mask) via the active strategy (plus counters)."""
-    strategy = active_kernel()
-    obs = get_recorder()
-    obs.count("kernel.rows")
-    obs.count(f"kernel.rows.{strategy.name}")
-    return strategy.row(plan, user)
+    """One user's (deltas, mask) (plus counters)."""
+    get_recorder().count("kernel.rows")
+    if _SCALAR:
+        return scalar_row(plan, user)
+    return batched_row(plan, user)
 
 
 def kernel_block(
     plan: "GlobalPlan", users: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A batch of users' rows via the active strategy (plus counters)."""
-    strategy = active_kernel()
+    """A batch of users' rows (plus counters)."""
     obs = get_recorder()
     obs.count("kernel.block_calls")
     obs.count("kernel.block_rows", int(users.size))
-    obs.count(f"kernel.block_rows.{strategy.name}", int(users.size))
-    return strategy.block(plan, users)
+    if _SCALAR:
+        return scalar_block(plan, users)
+    return batched_block(plan, users)

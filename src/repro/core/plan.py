@@ -396,12 +396,12 @@ class GlobalPlan:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Stacked ``(insertion_deltas, feasible_mask)`` rows for ``users``.
 
-        Rows missing from the per-user cache are computed by the active
-        kernel strategy's block path — one vectorized user×event pass under
-        ``REPRO_KERNEL=batched`` — and cached per user exactly as if
-        :meth:`feasible_mask` had been called row by row (bit-identical
-        values; the cached rows are read-only views into the block
-        matrices).  Returns read-only arrays of shape
+        Rows missing from the per-user cache are computed by
+        :func:`repro.core.kernel.kernel_block` — one vectorized user×event
+        pass outside ``use_scalar_kernel()`` — and cached per user exactly
+        as if :meth:`feasible_mask` had been called row by row
+        (bit-identical values; the cached rows are read-only views into
+        the block matrices).  Returns read-only arrays of shape
         ``(len(users), n_events)``.
         """
         users = np.asarray(users, dtype=np.intp)

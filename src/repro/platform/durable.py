@@ -19,10 +19,9 @@ stands on:
    (``repro-gepc fuzz --durable``) additionally proves utility equality
    against an uncrashed twin for every injection point.
 
-Crash points are injectable (:class:`CrashInjector`, or the
-``REPRO_CRASH_AFTER`` / ``REPRO_CRASH_POINT`` / ``REPRO_CRASH_TEAR``
-environment variables) between WAL-append, apply, and snapshot, so tests
-and the fuzz harness can kill the platform at any boundary — including
+Crash points are injectable (a :class:`CrashInjector` passed as
+``injector=``) between WAL-append, apply, and snapshot, so tests and the
+fuzz harness can kill the platform at any boundary — including
 mid-record (a torn WAL tail).  See ``docs/durability.md``.
 """
 
@@ -80,9 +79,9 @@ class CrashInjector:
     mid-line first, simulating a write torn by the crash — the recovery
     path must detect and discard it.
 
-    Environment form (for subprocess tests and CLI soaks)::
-
-        REPRO_CRASH_AFTER=7 REPRO_CRASH_POINT=apply REPRO_CRASH_TEAR=1
+    Only ever passed explicitly (``DurablePlatform(..., injector=...)``):
+    nothing in the environment can arm one, so a server never kills its
+    own tenants.
     """
 
     def __init__(
@@ -102,18 +101,6 @@ class CrashInjector:
         self.tear_tail = tear_tail
         self.passed = 0
         self.fired = False
-
-    @classmethod
-    def from_env(cls) -> "CrashInjector | None":
-        """Build an injector from ``REPRO_CRASH_*``, or ``None``."""
-        raw = os.environ.get("REPRO_CRASH_AFTER")
-        if not raw:
-            return None
-        return cls(
-            crash_after=int(raw),
-            point=os.environ.get("REPRO_CRASH_POINT") or None,
-            tear_tail=os.environ.get("REPRO_CRASH_TEAR", "") not in ("", "0"),
-        )
 
     def fire(self, point: str, wal: WriteAheadLog) -> None:
         """Pass one crash point; raise when the configured kill is due."""
@@ -213,7 +200,7 @@ class DurablePlatform:
         self._wal = WriteAheadLog(
             self._directory / WAL_FILENAME, durable=fsync
         )
-        self._injector = injector or CrashInjector.from_env()
+        self._injector = injector
 
     # ------------------------------------------------------------------ #
     # Delegated reads

@@ -37,7 +37,6 @@ from repro.core.iep.operations import (
     EtaDecrease,
     EtaIncrease,
     LocationChange,
-    NewEvent,
     TimeChange,
     UtilityChange,
     XiDecrease,

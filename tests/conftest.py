@@ -7,6 +7,8 @@ import random
 import numpy as np
 import pytest
 
+from repro.check import maybe_shadow_checks
+from repro.core.kernel import use_scalar_kernel
 from repro.core.model import Event, Instance, User
 from repro.core.tiles import use_distance_backend
 from repro.geo.point import Point
@@ -20,6 +22,13 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         default=None,
         help="run the whole suite with every instance's distances on one "
         "path (default: chosen by instance size)",
+    )
+    parser.addoption(
+        "--kernel",
+        choices=("batched", "scalar"),
+        default="batched",
+        help="run the whole suite on the batched production kernel or on "
+        "the scalar oracle (greedy and fill take their reference loops)",
     )
 
 
@@ -36,6 +45,35 @@ def _distance_path(request: pytest.FixtureRequest):
         yield
         return
     with use_distance_backend(path):
+        yield
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _kernel_path(request: pytest.FixtureRequest):
+    """Run the session on the scalar oracle under ``--kernel scalar``.
+
+    The oracle is bit-identical to the production kernel, so every plan,
+    utility and pin in the suite must come out the same.
+    """
+    if request.config.getoption("--kernel") == "batched":
+        yield
+        return
+    with use_scalar_kernel():
+        yield
+
+
+@pytest.fixture(scope="module")
+def shadow_checks_from_env():
+    """Wrap a whole test module in ``maybe_shadow_checks()``.
+
+    With ``REPRO_SHADOW_CHECKS=1`` every in-process plan mutation and IEP
+    apply is audited, and a mismatch raises.  Module-scoped so that the
+    module-scoped fixtures (servers, publishes, twins) set up after it
+    are audited too, not only the test bodies.  Opted into per module
+    (``pytestmark``), not suite-wide: some tests corrupt caches on
+    purpose.
+    """
+    with maybe_shadow_checks():
         yield
 
 

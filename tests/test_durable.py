@@ -18,7 +18,6 @@ from repro.platform import (
     save_snapshot,
 )
 from repro.platform.durable import (
-    CRASH_APPLY,
     CRASH_POINTS,
     CRASH_SNAPSHOT,
     CRASH_WAL_APPEND,
@@ -225,17 +224,6 @@ class TestCrashInjector:
             CrashInjector(0)
         with pytest.raises(ValueError, match="crash point"):
             CrashInjector(1, point="teleport")
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CRASH_AFTER", raising=False)
-        assert CrashInjector.from_env() is None
-        monkeypatch.setenv("REPRO_CRASH_AFTER", "7")
-        monkeypatch.setenv("REPRO_CRASH_POINT", "apply")
-        monkeypatch.setenv("REPRO_CRASH_TEAR", "1")
-        injector = CrashInjector.from_env()
-        assert injector.crash_after == 7
-        assert injector.point == CRASH_APPLY
-        assert injector.tear_tail is True
 
     def test_fires_once_at_nth_occurrence(self, tmp_path):
         injector = CrashInjector(crash_after=3, point=CRASH_WAL_APPEND)

@@ -19,6 +19,8 @@ from repro.platform import EBSNPlatform, OperationStream
 from repro.scale import BatchedPlatform, coalesce_operations
 from repro.timeline.interval import Interval
 
+pytestmark = pytest.mark.usefixtures("shadow_checks_from_env")
+
 
 @pytest.fixture()
 def instance():

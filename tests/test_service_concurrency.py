@@ -18,6 +18,8 @@ from repro.datasets import MeetupConfig, generate_ebsn
 from repro.platform import EBSNPlatform, OperationStream
 from repro.service import ServiceClient, ServiceThread, WebSocketClient
 
+pytestmark = pytest.mark.usefixtures("shadow_checks_from_env")
+
 N_TENANTS = 4
 N_CLIENTS = 8
 FRAMES_PER_CLIENT = 12

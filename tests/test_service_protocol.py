@@ -44,6 +44,8 @@ from repro.service.protocol import (
     encode_operations,
 )
 
+pytestmark = pytest.mark.usefixtures("shadow_checks_from_env")
+
 
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):

@@ -34,6 +34,8 @@ from repro.service.protocol import E_INTERNAL
 from repro.service.server import READY_LINE
 from repro.service.tenants import SPEC_FILENAME
 
+pytestmark = pytest.mark.usefixtures("shadow_checks_from_env")
+
 TENANTS = {
     "kappa": 11,
     "lam": 12,
