@@ -5,7 +5,7 @@ incremental kernel (``docs/performance.md``).  It rebuilds each cached
 quantity from the raw problem data and diffs it against the live caches:
 
 * per-user **route costs** vs. an exact ``Instance.route_cost`` recompute,
-* **attendance counters** and the **attendee index** vs. plan membership,
+* the **attendee index** (attendance is its size) vs. plan membership,
 * plan **start-order** and duplicate-freeness,
 * materialised **blocked-event counter** rows vs. a conflict-matrix sum,
 * cached **kernel rows** (``insertion_deltas``/``feasible_mask``) vs. the
@@ -274,24 +274,6 @@ class InvariantAuditor:
                 report, "instance_event_event_distances",
                 live.event_event_matrix, fresh.event_event_matrix,
             )
-        if instance._conflicts is not None:
-            report.checks += 1
-            if instance._conflicts != reference.conflicts:
-                bad = [
-                    j
-                    for j, (a, b) in enumerate(
-                        zip(instance._conflicts, reference.conflicts)
-                    )
-                    if a != b
-                ]
-                report.mismatches.append(
-                    CacheMismatch(
-                        kind="instance_conflict_graph",
-                        cached=[instance._conflicts[j] for j in bad[:3]],
-                        expected=[reference.conflicts[j] for j in bad[:3]],
-                        detail=f"adjacency differs for events {bad}",
-                    )
-                )
         if instance._conflict_matrix is not None:
             report.checks += 1
             if not np.array_equal(
@@ -465,7 +447,7 @@ class InvariantAuditor:
         assigned = set(events)
         exact_base = reference.route_cost(user, list(events))
         budget = reference.users[user].budget
-        conflicts = reference.conflicts
+        conflicts = reference.conflict_matrix
         for event in range(reference.n_events):
             if event not in assigned:
                 report.checks += 1
@@ -489,7 +471,7 @@ class InvariantAuditor:
                 extended = None
             report.checks += 1
             conflict_free = not any(
-                other in conflicts[event] for other in events
+                conflicts[event, other] for other in events
             )
             expected_mask = (
                 reference.utility[user, event] > 0.0
@@ -540,7 +522,7 @@ class InvariantAuditor:
             )
 
     # ------------------------------------------------------------------ #
-    # Per-event counters
+    # Per-event attendee index
     # ------------------------------------------------------------------ #
 
     def _audit_events(
@@ -558,17 +540,6 @@ class InvariantAuditor:
             for event in user_events:
                 derived[event].add(user)
         for event in events:
-            report.checks += 1
-            if plan._attendance[event] != len(derived[event]):
-                report.mismatches.append(
-                    CacheMismatch(
-                        kind="attendance",
-                        cached=plan._attendance[event],
-                        expected=len(derived[event]),
-                        event=event,
-                        detail="attendance counter diverged from membership",
-                    )
-                )
             report.checks += 1
             if plan._attendee_sets[event] != derived[event]:
                 report.mismatches.append(

@@ -74,10 +74,11 @@ def _check_users(
     instance: Instance, plan: GlobalPlan
 ) -> list[ConstraintViolation]:
     violations = []
+    conflicts = instance.conflict_matrix
     for user in range(instance.n_users):
         events = plan.user_plan(user)
         for first, second in zip(events, events[1:]):
-            if instance.events_conflict(first, second):
+            if conflicts[first, second]:
                 violations.append(
                     ConstraintViolation(
                         ViolationKind.TIME_CONFLICT,

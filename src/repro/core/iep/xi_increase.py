@@ -189,7 +189,7 @@ def _swap_feasible(
     arithmetic on the cached base instead of a from-scratch recompute.
     """
     blocked = plan.conflict_count(user, event)
-    if donor in instance.conflicts[event]:
+    if instance.events_conflict(donor, event):
         blocked -= 1
     if blocked > 0:
         return False

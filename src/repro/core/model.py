@@ -22,11 +22,9 @@ from repro.geo.distance import DistanceMatrix
 from repro.geo.grid import SpatialCandidateIndex
 from repro.geo.point import Point
 from repro.timeline.conflicts import (
-    conflict_graph,
     conflict_matrix,
     conflict_ratio,
     conflict_row,
-    patched_conflict_graph,
     patched_conflict_matrix,
 )
 from repro.timeline.interval import Interval
@@ -139,7 +137,6 @@ class Instance:
             raise ValueError("one admission fee per event required")
         self._distances: DistanceMatrix | None = None
         self._candidates: SpatialCandidateIndex | None = None
-        self._conflicts: list[set[int]] | None = None
         self._conflict_matrix: np.ndarray | None = None
         self._event_starts: np.ndarray | None = None
         self._fee_vector: np.ndarray | None = None
@@ -169,7 +166,6 @@ class Instance:
         instance.cost_model = cost_model
         instance._distances = None
         instance._candidates = None
-        instance._conflicts = None
         instance._conflict_matrix = None
         instance._event_starts = None
         instance._fee_vector = None
@@ -229,35 +225,20 @@ class Instance:
         return self._candidates
 
     @property
-    def conflicts(self) -> list[set[int]]:
-        """Lazily built conflict adjacency: ``conflicts[j]`` = events
-        conflicting with event ``j``."""
-        if self._conflicts is None:
-            self._conflicts = conflict_graph([e.interval for e in self.events])
-        return self._conflicts
-
-    @property
     def conflict_matrix(self) -> np.ndarray:
-        """Dense boolean conflict matrix (the vectorized kernel's view).
+        """Dense boolean conflict matrix, the instance's one conflict
+        structure (read-only view).
 
-        ``conflict_matrix[j, k]`` mirrors ``k in conflicts[j]``; rows are
-        used to mask whole candidate arrays and to maintain the per-user
-        blocked-event counters in :class:`repro.core.plan.GlobalPlan`.
-        Treat as read-only.
+        ``conflict_matrix[j, k]`` is whether events ``j`` and ``k``
+        conflict in time; rows mask whole candidate arrays and maintain
+        the per-user blocked-event counters in
+        :class:`repro.core.plan.GlobalPlan`.  The property wraps a fresh
+        view per call, so loops fetch it once.
         """
         if self._conflict_matrix is None:
-            if self._conflicts is not None:
-                # Derive from the adjacency already paid for.
-                m = self.n_events
-                matrix = np.zeros((m, m), dtype=bool)
-                for j, neighbours in enumerate(self._conflicts):
-                    if neighbours:
-                        matrix[j, list(neighbours)] = True
-                self._conflict_matrix = matrix
-            else:
-                self._conflict_matrix = conflict_matrix(
-                    [e.interval for e in self.events]
-                )
+            self._conflict_matrix = conflict_matrix(
+                [e.interval for e in self.events]
+            )
         return _read_only(self._conflict_matrix)
 
     @property
@@ -316,7 +297,6 @@ class Instance:
         self.cost_model = state["cost_model"]
         self._distances = None
         self._candidates = None
-        self._conflicts = None
         self._conflict_matrix = None
         self._event_starts = None
         self._fee_vector = None
@@ -387,7 +367,12 @@ class Instance:
 
     def events_conflict(self, first: int, second: int) -> bool:
         """Whether two distinct events conflict in time."""
-        return second in self.conflicts[first]
+        # The cache itself, not the property: a pairwise check runs in
+        # loops too hot for a fresh view per call.
+        matrix = self._conflict_matrix
+        if matrix is None:
+            matrix = self.conflict_matrix
+        return matrix.item(first, second)
 
     # ------------------------------------------------------------------ #
     # Route costs (the paper's travel cost D_i)
@@ -515,18 +500,14 @@ class Instance:
                     ),
                 )
         if not interval_changed:
-            instance._conflicts = self._conflicts
             instance._conflict_matrix = self._conflict_matrix
             instance._event_starts = self._event_starts
         else:
-            intervals = [e.interval for e in events]
-            if self._conflicts is not None:
-                instance._conflicts = patched_conflict_graph(
-                    self._conflicts, intervals, event_id
-                )
             if self._conflict_matrix is not None:
                 instance._conflict_matrix = patched_conflict_matrix(
-                    self._conflict_matrix, intervals, event_id
+                    self._conflict_matrix,
+                    [e.interval for e in events],
+                    event_id,
                 )
             if self._event_starts is not None:
                 starts = self._event_starts.copy()
@@ -569,7 +550,6 @@ class Instance:
                 )
         # A relocation leaves the index to rebuild lazily — one user's
         # move can change their grid cell and every event's set.
-        instance._conflicts = self._conflicts
         instance._conflict_matrix = self._conflict_matrix
         instance._event_starts = self._event_starts
         instance._fee_vector = self._fee_vector
@@ -591,7 +571,6 @@ class Instance:
         )
         instance._distances = self._distances
         instance._candidates = self._candidates
-        instance._conflicts = self._conflicts
         instance._conflict_matrix = self._conflict_matrix
         instance._event_starts = self._event_starts
         instance._fee_vector = self._fee_vector
@@ -605,8 +584,8 @@ class Instance:
         ``event.id`` must equal the current event count; ``utilities`` is one
         utility score per user; ``fee`` is the new event's admission fee
         (only meaningful under a fee-charging cost model).  Cached distances
-        gain one appended column/row; cached conflicts gain one appended
-        adjacency row — nothing already cached is recomputed.
+        and conflicts gain one appended column/row — nothing already
+        cached is recomputed.
         """
         if event.id != self.n_events:
             raise ValueError(
@@ -638,17 +617,8 @@ class Instance:
                 ),
                 float(fee),
             )
-        intervals = [e.interval for e in events]
-        if self._conflicts is not None:
-            row = conflict_row(intervals, event.id)
-            neighbours = set(np.flatnonzero(row).tolist())
-            adjacency = list(self._conflicts)
-            for k in neighbours:
-                adjacency[k] = adjacency[k] | {event.id}
-            adjacency.append(neighbours)
-            instance._conflicts = adjacency
         if self._conflict_matrix is not None:
-            row = conflict_row(intervals, event.id)
+            row = conflict_row([e.interval for e in events], event.id)
             m = self.n_events
             matrix = np.zeros((m + 1, m + 1), dtype=bool)
             matrix[:m, :m] = self._conflict_matrix

@@ -2,8 +2,8 @@
 
 A :class:`GlobalPlan` holds one individual plan per user — a list of event
 ids kept sorted by event start time (the visiting order that defines the
-paper's travel cost ``D_i``) — plus the per-event attendance counters the
-bound constraints are checked against.
+paper's travel cost ``D_i``) — plus the per-event attendee sets the bound
+constraints are checked against.
 
 The plan is also the home of the **vectorized incremental kernel** the
 solvers' inner loops run on (see ``docs/performance.md``):
@@ -72,11 +72,11 @@ class GlobalPlan:
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
         self._plans: list[list[int]] = [[] for _ in range(instance.n_users)]
-        self._attendance: list[int] = [0] * instance.n_events
         # A flat float64 array, so a clone copies and frees it as one
         # block (a list would hold a float object per user).
         self._route_costs = array("d", bytes(8 * instance.n_users))
-        # Per-event attendee index: attendees()/clear_event() in O(degree).
+        # Per-event attendee index: attendance is its size, and
+        # attendees()/clear_event() run in O(degree).
         self._attendee_sets: list[set[int]] = [
             set() for _ in range(instance.n_events)
         ]
@@ -114,7 +114,7 @@ class GlobalPlan:
 
     def attendance(self, event: int) -> int:
         """Number of users currently assigned to ``event`` (``n_j``)."""
-        return self._attendance[event]
+        return len(self._attendee_sets[event])
 
     def attendees(self, event: int) -> list[int]:
         """Users currently assigned to ``event`` (ascending user id)."""
@@ -133,7 +133,7 @@ class GlobalPlan:
 
     def assigned_events(self) -> set[int]:
         """Events with at least one attendee."""
-        return {j for j, count in enumerate(self._attendance) if count > 0}
+        return {j for j, users in enumerate(self._attendee_sets) if users}
 
     def __iter__(self) -> Iterator[tuple[int, tuple[int, ...]]]:
         """Iterate ``(user, (event ids...))`` pairs.
@@ -178,7 +178,6 @@ class GlobalPlan:
         else:
             position, delta = splice_hint
         plan.insert(position, event)
-        self._attendance[event] += 1
         self._attendee_sets[event].add(user)
         self._route_costs[user] += delta
         self._touch(user, event, +1)
@@ -196,7 +195,6 @@ class GlobalPlan:
         position = plan.index(event)
         delta = self._unsplice_delta(user, plan, position)
         del plan[position]
-        self._attendance[event] -= 1
         self._attendee_sets[event].discard(user)
         if plan:
             self._route_costs[user] += delta
@@ -454,9 +452,10 @@ class GlobalPlan:
             if blocked[event]:
                 return False
         else:
-            conflicts = instance.conflicts[event]
-            if conflicts and any(e in conflicts for e in self._plans[user]):
-                return False
+            row = self._conflict_matrix()[event]
+            for other in self._plans[user]:
+                if row[other]:
+                    return False
         _, delta = self._splice(user, self._plans[user], event)
         budget = instance.users[user].budget
         return self._route_costs[user] + delta <= budget + BUDGET_TOL
@@ -508,7 +507,6 @@ class GlobalPlan:
         clone = GlobalPlan.__new__(GlobalPlan)
         clone.instance = self.instance
         clone._plans = [list(plan) for plan in self._plans]
-        clone._attendance = list(self._attendance)
         clone._route_costs = self._route_costs[:]
         clone._attendee_sets = [set(s) for s in self._attendee_sets]
         # Blocked rows are lazily rebuilt from the plan + conflict matrix;
@@ -532,7 +530,7 @@ class GlobalPlan:
         """The same assignments re-bound to a modified instance.
 
         Used by the IEP engine after an atomic operation changes event or
-        user attributes; a new-event column extends the attendance vector.
+        user attributes; a new-event column extends the attendee index.
         The result may be infeasible — that is exactly what the repair
         algorithms fix.
 
@@ -573,7 +571,6 @@ class GlobalPlan:
         clone = GlobalPlan.__new__(GlobalPlan)
         clone.instance = instance
         clone._plans = list(plans)
-        clone._attendance = self._attendance + [0] * added
         clone._route_costs = self._route_costs[:]
         clone._attendee_sets = [set(s) for s in self._attendee_sets]
         clone._attendee_sets.extend(set() for _ in range(added))

@@ -35,9 +35,8 @@ class CacheDiscipline(Rule):
     )
     default_options = {
         "attributes": [
-            "_distances", "_conflicts", "_conflict_matrix",
-            "_event_starts", "_fee_vector",
-            "_blocked", "_route_costs", "_plans", "_attendance",
+            "_distances", "_conflict_matrix", "_event_starts",
+            "_fee_vector", "_blocked", "_route_costs", "_plans",
             "_attendee_sets", "_kernel_cache",
         ],
         "allow_modules": ["repro.core.model", "repro.core.plan"],

@@ -11,7 +11,6 @@ See ``docs/scaling.md`` for the design.  The three public pieces:
 
 from repro.scale.batched import (
     BatchedPlatform,
-    BatchRejectionError,
     BatchResult,
     PlatformClosedError,
     coalesce_operations,
@@ -25,7 +24,6 @@ from repro.scale.partition import (
 from repro.scale.sharded import ShardedSolver
 
 __all__ = [
-    "BatchRejectionError",
     "BatchResult",
     "BatchedPlatform",
     "Partition",

@@ -12,17 +12,17 @@
 * **One audit boundary per batch** — :meth:`flush` applies the whole
   coalesced batch and runs ``check_plan`` once at the end, not per
   operation.
-* **Backpressure stats** — queue depth, coalesce/fold counts, rejected
-  operations, and forced flushes are mirrored to ``repro.obs`` and
-  exposed via :meth:`stats`.
+* **Queue stats** — queue depth, coalesce/fold counts and rejected
+  operations are mirrored to ``repro.obs`` and exposed via
+  :meth:`stats`.
 
 It is single-threaded, like the platform it wraps: one caller at a time
 (the service's tenant worker is its only writer, and service reads never
 touch it; see :mod:`repro.service.tenants`).
 
-The applied-operation log (:attr:`applied_log`) is the platform's ground
-truth: serially replaying it from the published plan reproduces the
-final state exactly.
+The applied-operation log (:attr:`applied_log`) is read off the
+platform's own log: serially replaying it from the published plan
+reproduces the final state exactly.
 """
 
 from __future__ import annotations
@@ -160,46 +160,19 @@ class PlatformClosedError(RuntimeError):
     """
 
 
-class BatchRejectionError(RuntimeError):
-    """One or more operations in a flushed batch were rejected.
-
-    Raised *after* the rest of the batch has been applied (rejections
-    never roll back or block their batch-mates); ``.result`` carries the
-    full :class:`BatchResult` including every ``(operation, reason)``
-    pair, so callers can inspect exactly which submissions failed.
-    """
-
-    def __init__(self, result: BatchResult):
-        reasons = "; ".join(
-            f"{type(op).__name__}: {reason}"
-            for op, reason in result.rejected[:3]
-        )
-        more = len(result.rejected) - 3
-        if more > 0:
-            reasons += f"; and {more} more"
-        super().__init__(
-            f"{len(result.rejected)} of {result.submitted} batched "
-            f"operation(s) rejected ({reasons})"
-        )
-        self.result = result
-
-
 class BatchedPlatform:
     """A batch-coalescing front-end over :class:`EBSNPlatform`.
 
-    Operations are queued with :meth:`enqueue`; :meth:`flush` (called
-    explicitly, or by :meth:`enqueue` once the queue reaches
-    ``max_pending``) coalesces and applies them with a single
-    ``check_plan`` boundary.
+    Operations are queued with :meth:`enqueue`; :meth:`flush` coalesces
+    and applies everything queued with a single ``check_plan`` boundary,
+    so the caller decides what one batch is.
     """
 
     def __init__(
         self,
         instance: Instance | None = None,
         solver: GEPCSolver | None = None,
-        max_pending: int = 64,
         platform: object | None = None,
-        raise_on_reject: bool = False,
     ) -> None:
         """Front a platform with a coalescing queue.
 
@@ -207,14 +180,7 @@ class BatchedPlatform:
         internally) or ``platform`` (any object with the platform
         surface — notably :class:`repro.platform.durable.DurablePlatform`
         to get WAL + snapshots under batched traffic).
-
-        ``raise_on_reject=True`` makes :meth:`flush` raise
-        :class:`BatchRejectionError` whenever a batch had rejected
-        operations — for callers that treat a silent drop as a bug
-        rather than expected staleness.
         """
-        if max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
         if (instance is None) == (platform is None):
             raise ValueError(
                 "pass exactly one of `instance` or `platform`"
@@ -224,11 +190,8 @@ class BatchedPlatform:
         elif solver is not None:
             raise ValueError("`solver` only applies with `instance`")
         self._platform = platform
-        self._raise_on_reject = raise_on_reject
-        self._max_pending = max_pending
         self._pending: list[AtomicOperation] = []
         self._closed = False
-        self._applied_log: list[AtomicOperation] = []
         # (plan, check_plan's violation count) from the last flush.
         self.last_check: tuple[GlobalPlan, int] | None = None
         self._stats = {
@@ -237,7 +200,6 @@ class BatchedPlatform:
             "applied": 0,
             "rejected": 0,
             "flushes": 0,
-            "forced_flushes": 0,
             "max_queue_depth": 0,
         }
         # Captured once: counters land in the recorder of the context
@@ -262,12 +224,13 @@ class BatchedPlatform:
 
     @property
     def applied_log(self) -> list[AtomicOperation]:
-        """Coalesced operations actually applied, in apply order.
+        """Coalesced operations actually applied, in apply order (read
+        off the platform log).
 
         Serial replay of this log from the published plan reproduces the
         current state exactly.
         """
-        return list(self._applied_log)
+        return [entry.operation for entry in self._platform.log]
 
     def plan_for(self, user: int) -> list[int]:
         return self._platform.plan_for(user)
@@ -282,7 +245,7 @@ class BatchedPlatform:
         return numbers
 
     def stats(self) -> dict[str, int]:
-        """Backpressure and coalescing counters (a copy)."""
+        """Queue and coalescing counters (a copy)."""
         return dict(self._stats)
 
     def queue_depth(self) -> int:
@@ -298,9 +261,8 @@ class BatchedPlatform:
     def enqueue(self, operation: AtomicOperation) -> int:
         """Queue one operation; returns the queue depth after enqueue.
 
-        Reaching ``max_pending`` makes the enqueueing caller pay for the
-        flush (backpressure: producers slow down instead of the queue
-        growing without bound).
+        Nothing is applied until :meth:`flush`: everything queued in
+        between is one batch, answered by one :class:`BatchResult`.
         """
         if self._closed:
             raise PlatformClosedError(
@@ -316,10 +278,6 @@ class BatchedPlatform:
         )
         self._obs.count("batched.enqueued")
         self._obs.gauge("batched.queue_depth", float(depth))
-        if depth >= self._max_pending:
-            self._stats["forced_flushes"] += 1
-            self._obs.count("batched.forced_flushes")
-            self.flush()
         return depth
 
     def flush(self) -> BatchResult:
@@ -329,9 +287,7 @@ class BatchedPlatform:
         Invalid operations (stale against the batch's evolving instance)
         are rejected and recorded, never partially applied — and never
         silently swallowed: every failure is in ``result.rejected`` with
-        its reason, mirrored to the ``batched.rejected`` counter, and
-        with ``raise_on_reject`` it escalates to
-        :class:`BatchRejectionError` once the batch completes.
+        its reason, mirrored to the ``batched.rejected`` counter.
         """
         batch, self._pending = self._pending, []
         result = BatchResult(submitted=len(batch))
@@ -348,7 +304,6 @@ class BatchedPlatform:
                 result.rejected.append((operation, str(exc)))
                 continue
             result.applied.append(entry)
-            self._applied_log.append(operation)
         violations = check_plan(self._platform.instance, self._platform.plan)
         result.violations = len(violations)
         self.last_check = (self._platform.plan, result.violations)
@@ -366,8 +321,6 @@ class BatchedPlatform:
         self._obs.count("batched.applied", len(result.applied))
         self._obs.count("batched.rejected", len(result.rejected))
         self._obs.count("batched.violations", result.violations)
-        if self._raise_on_reject and result.rejected:
-            raise BatchRejectionError(result)
         return result
 
     # ------------------------------------------------------------------ #

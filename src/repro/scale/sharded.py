@@ -167,7 +167,6 @@ class ShardedSolver(GEPCSolver):
                     cost = solution.plan.route_cost(local_user)
                     plan._route_costs[global_user] = cost  # repro-lint: ignore[RL001] transplant, see above
                     for event in route:
-                        plan._attendance[event] += 1  # repro-lint: ignore[RL001] transplant, see above
                         plan._attendee_sets[event].add(global_user)  # repro-lint: ignore[RL001] transplant, see above
                 cancelled.update(
                     int(shard.event_ids[e]) for e in solution.cancelled

@@ -1,18 +1,19 @@
 """Conflict structure over a set of event intervals.
 
-The solvers need four views of the conflict relation:
+The conflict relation is offered as:
 
-* a pairwise predicate (``conflicts``) for incremental checks,
-* a precomputed adjacency structure (``conflict_graph``) for the hot loops,
-* a dense boolean matrix (``conflict_matrix``) for the vectorized plan
-  kernel (``GlobalPlan.feasible_mask`` masks whole candidate rows at once),
+* a pairwise predicate (``conflicts``),
+* a dense boolean matrix (``conflict_matrix``), the one structure an
+  :class:`~repro.core.model.Instance` caches: the vectorized plan kernel
+  masks whole candidate rows with it, and every pairwise check reads it,
+* adjacency sets (``conflict_graph``), built by an independent sweep, for
+  the summary statistics and as the tests' oracle,
 * summary statistics (``conflict_ratio``, used by the dataset generator to
   hit the paper's Table IV target of 0.25, and ``max_clique_upper_bound``,
   the ``maxCF`` quantity in the paper's complexity analysis).
 
-``patched_conflict_graph``/``patched_conflict_matrix`` rebuild only the one
-row/column an IEP ``TimeChange`` touches, sharing every untouched adjacency
-set with the source structure (read-only by convention).
+``patched_conflict_matrix`` rebuilds only the one row/column an IEP
+``TimeChange`` touches.
 """
 
 from __future__ import annotations
@@ -77,28 +78,6 @@ def conflict_row(intervals: Sequence[Interval], event: int) -> np.ndarray:
     row = ~((ends[event] < starts) | (ends < starts[event]))
     row[event] = False
     return row
-
-
-def patched_conflict_graph(
-    adjacency: list[set[int]],
-    intervals: Sequence[Interval],
-    event: int,
-) -> list[set[int]]:
-    """``adjacency`` after ``event``'s interval changed, sharing structure.
-
-    ``intervals`` must reflect the *new* state.  Only the changed event's
-    set and the sets of events entering/leaving its neighbourhood are fresh
-    objects; all other rows are the same (never-mutated) set instances.
-    """
-    new_neighbours = set(np.flatnonzero(conflict_row(intervals, event)).tolist())
-    old_neighbours = adjacency[event]
-    patched = list(adjacency)
-    for k in old_neighbours - new_neighbours:
-        patched[k] = adjacency[k] - {event}
-    for k in new_neighbours - old_neighbours:
-        patched[k] = adjacency[k] | {event}
-    patched[event] = new_neighbours
-    return patched
 
 
 def patched_conflict_matrix(

@@ -84,16 +84,6 @@ class TestCorruptionDetection:
         assert "drift" in mismatch.detail
         assert "route_cost" in str(mismatch)
 
-    def test_attendance_corruption(self, solved):
-        instance, plan = fresh_plan(solved)
-        plan._attendance[2] += 1
-        report = InvariantAuditor().audit(plan)
-        kinds = {m.kind for m in report.mismatches}
-        assert "attendance" in kinds
-        mismatch = next(m for m in report.mismatches if m.kind == "attendance")
-        assert mismatch.event == 2
-        assert mismatch.cached == mismatch.expected + 1
-
     def test_attendee_index_corruption(self, solved):
         instance, plan = fresh_plan(solved)
         victim = next(
@@ -192,24 +182,25 @@ class TestCorruptionDetection:
 
     def test_instance_conflict_corruption(self, solved):
         instance, plan = fresh_plan(solved)
-        adjacency = instance.conflicts  # materialise
+        instance.conflict_matrix  # materialise
+        matrix = instance._conflict_matrix
         first, second = next(
             (a, b)
             for a in range(instance.n_events)
             for b in range(a + 1, instance.n_events)
-            if b not in adjacency[a]
+            if not matrix[a, b]
         )
-        adjacency[first].add(second)
-        adjacency[second].add(first)
+        matrix[first, second] = matrix[second, first] = True
         try:
             report = InvariantAuditor().audit(plan)
-            assert any(
-                m.kind == "instance_conflict_graph"
+            mismatch = next(
+                m
                 for m in report.mismatches
+                if m.kind == "instance_conflict_matrix"
             )
+            assert str(first) in mismatch.detail
         finally:
-            adjacency[first].discard(second)
-            adjacency[second].discard(first)
+            matrix[first, second] = matrix[second, first] = False
 
 
 class TestInstanceUpdateAudit:
@@ -220,7 +211,6 @@ class TestInstanceUpdateAudit:
         instance, _ = solved
         auditor = InvariantAuditor()
         instance.distances  # materialise everything that can be carried
-        instance.conflicts
         instance.conflict_matrix
         updated = instance.with_event(
             1, interval=Interval(40.0, 41.5)
@@ -234,15 +224,15 @@ class TestInstanceUpdateAudit:
     def test_identity_sharing_rules(self, solved):
         instance, _ = solved
         instance.distances
-        instance.conflicts
+        instance.conflict_matrix
         # Bound change: everything shared by identity.
         wider = instance.with_event(0, upper=instance.events[0].upper + 1)
         assert wider._distances is instance._distances
-        assert wider._conflicts is instance._conflicts
+        assert wider._conflict_matrix is instance._conflict_matrix
         # Utility change: everything shared by identity.
         rescored = instance.with_utility(1, 1, 0.75)
         assert rescored._distances is instance._distances
-        assert rescored._conflicts is instance._conflicts
+        assert rescored._conflict_matrix is instance._conflict_matrix
         # Budget change: geometry shared by identity.
         richer = instance.with_user(0, budget=1.0)
         assert richer._distances is instance._distances
@@ -250,10 +240,13 @@ class TestInstanceUpdateAudit:
     def test_corrupted_patch_is_caught(self, solved):
         instance, _ = solved
         instance.distances
+        instance.conflict_matrix
         updated = instance.with_event(1, interval=Interval(40.0, 41.5))
         # Sabotage the patched conflict row to emulate a broken patch.
-        updated.conflicts[1].symmetric_difference_update({0})
+        patched = updated._conflict_matrix
+        assert patched is not instance._conflict_matrix
+        patched[1, 0] = patched[0, 1] = not patched[1, 0]
         report = InvariantAuditor().audit_instance_update(instance, updated)
         assert any(
-            m.kind == "instance_conflict_graph" for m in report.mismatches
+            m.kind == "instance_conflict_matrix" for m in report.mismatches
         )

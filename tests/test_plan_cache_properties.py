@@ -1,6 +1,6 @@
 """Property tests for GlobalPlan's internal caches under mutation storms.
 
-The route-cost cache and attendance counters are the hottest shared state
+The route-cost cache and attendee index are the hottest shared state
 in the repository; these hypothesis tests hammer them with random
 add/remove sequences and verify they always equal a from-scratch recompute.
 """
@@ -10,10 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.check import InvariantAuditor
+from repro.core import kernel
 from repro.core.model import Event, Instance, User
 from repro.core.plan import GlobalPlan
 from repro.core.tolerances import BUDGET_TOL
 from repro.geo.point import Point
+from repro.timeline.conflicts import conflict_graph
 from repro.timeline.interval import Interval
 from tests.conftest import served_user_event_plane
 
@@ -98,7 +101,12 @@ class TestCacheConsistency:
             elif action == "clear":
                 plan.clear_event(event)
         for event in range(instance.n_events):
-            assert plan.attendance(event) == len(plan.attendees(event))
+            expected = sum(
+                event in plan.user_plan(user)
+                for user in range(instance.n_users)
+            )
+            assert plan.attendance(event) == expected
+            assert (event in plan.assigned_events()) == (expected > 0)
         assert plan.size() == sum(
             len(plan.user_plan(user)) for user in range(instance.n_users)
         )
@@ -171,13 +179,12 @@ class TestCacheConsistency:
                 plan.remove(user, event)
             elif action == "clear":
                 plan.clear_event(event)
+        adjacency = conflict_graph([e.interval for e in instance.events])
         for user in range(instance.n_users):
             assigned = plan.user_plan(user)
             for event in range(instance.n_events):
                 expected = sum(
-                    1
-                    for other in assigned
-                    if other in instance.conflicts[event]
+                    1 for other in assigned if other in adjacency[event]
                 )
                 assert plan.conflict_count(user, event) == expected
 
@@ -199,6 +206,7 @@ class TestCacheConsistency:
                 plan.remove(user, event)
             elif action == "clear":
                 plan.clear_event(event)
+        adjacency = conflict_graph([e.interval for e in instance.events])
         for user in range(instance.n_users):
             deltas = plan.insertion_deltas(user)
             mask = plan.feasible_mask(user)
@@ -213,7 +221,7 @@ class TestCacheConsistency:
                         event
                     ] == pytest.approx(extended)
                 conflict_free = not any(
-                    other in instance.conflicts[event] for other in assigned
+                    other in adjacency[event] for other in assigned
                 )
                 expected = (
                     instance.utility[user, event] > 0.0
@@ -230,6 +238,27 @@ class TestCacheConsistency:
                 assert cold.can_attend(user, event) == expected
 
 
+class TestKernelRowEviction:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_remove_evicts_the_cached_row(self, seed):
+        """A warm kernel row must not outlive a removal from the plan."""
+        instance = make_instance(seed)
+        plan = GlobalPlan(instance)
+        for user in range(instance.n_users):
+            for event in range(instance.n_events):
+                if plan.can_attend(user, event):
+                    plan.add(user, event)
+        for user in range(instance.n_users):
+            events = plan.user_plan(user)
+            assert events
+            plan.feasible_mask(user)  # warm the row
+            plan.remove(user, events[len(events) // 2])
+            assert InvariantAuditor().audit(plan).ok
+            deltas, mask = kernel.scalar_row(plan, user)
+            assert np.array_equal(plan.feasible_mask(user), mask)
+            assert np.array_equal(plan.insertion_deltas(user), deltas)
+
+
 class TestCachePreservation:
     """The with_* functional updates must reuse (or patch) cached geometry
     and conflict structures instead of rebuilding them."""
@@ -237,29 +266,30 @@ class TestCachePreservation:
     def test_time_change_preserves_distance_identity(self):
         instance = make_instance(3)
         distances = instance.distances
+        instance.conflict_matrix  # materialise the cache that gets patched
         shifted = instance.with_event(2, interval=Interval(40.0, 41.0))
         assert shifted._distances is distances
-        # Only the touched conflict row may differ from a fresh build.
-        fresh = Instance(shifted.users, shifted.events, shifted.utility)
-        for j in range(instance.n_events):
-            assert shifted.conflicts[j] == fresh.conflicts[j]
-        assert np.array_equal(shifted.conflict_matrix, fresh.conflict_matrix)
+        # The patched matrix equals the independent sweep's adjacency.
+        adjacency = conflict_graph([e.interval for e in shifted.events])
+        matrix = shifted.conflict_matrix
+        for j, neighbours in enumerate(adjacency):
+            assert set(np.flatnonzero(matrix[j]).tolist()) == neighbours
 
     def test_budget_change_preserves_distance_identity(self):
         instance = make_instance(4)
         distances = instance.distances
-        conflicts = instance.conflicts
+        instance.conflict_matrix
         richer = instance.with_user(1, budget=instance.users[1].budget + 5.0)
         assert richer._distances is distances
-        assert richer._conflicts is conflicts
+        assert richer._conflict_matrix is instance._conflict_matrix
 
     def test_bound_change_preserves_everything(self):
         instance = make_instance(5)
         distances = instance.distances
-        conflicts = instance.conflicts
+        instance.conflict_matrix
         wider = instance.with_event(0, upper=instance.events[0].upper + 1)
         assert wider._distances is distances
-        assert wider._conflicts is conflicts
+        assert wider._conflict_matrix is instance._conflict_matrix
 
     def test_location_change_patches_distances_correctly(self):
         instance = make_instance(6)

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.iep.operations import BudgetChange
+from repro.core.iep.operations import BudgetChange, EtaDecrease
 from repro.obs import Recorder, get_recorder, recording
 from repro.service import (
     PROTOCOL_VERSION,
@@ -525,6 +525,34 @@ def test_summary_audit_equals_the_platforms_audit(tmp_path):
             await app.dispatch_raw(frame)
             response, _ = await app.dispatch_raw(_frame("summary", tenant="t"))
             assert response["audit"] == manager.get("t").platform.snapshot()
+        await manager.close_all()
+
+    asyncio.run(probe())
+
+
+def test_long_frame_is_answered_for_every_op(tmp_path):
+    """One submit frame is one batch however many ops it carries: a
+    70-op frame reports every op, its one invalid op included."""
+    invalid = EtaDecrease(10**6, 1)  # no such event
+    operations = [BudgetChange(p % 8, 30.0 + p) for p in range(69)]
+    operations.insert(35, invalid)
+
+    async def probe() -> None:
+        manager, app = await _published_app(tmp_path)
+        frame = _frame(
+            "submit", tenant="t", ops=encode_operations(operations)
+        )
+        response, status = await app.dispatch_raw(frame)
+        assert status == 200, response
+        assert [r["op"] for r in response["rejected"]] == (
+            encode_operations([invalid])
+        )
+        assert response["applied"] == 8
+        assert response["folded"] == 61
+        assert (
+            response["applied"] + response["folded"]
+            + len(response["rejected"]) == 70
+        )
         await manager.close_all()
 
     asyncio.run(probe())
