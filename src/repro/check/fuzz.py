@@ -55,7 +55,7 @@ from repro.check.watchdog import LoopWatchdog
 from repro.core.constraints import check_plan
 from repro.core.gepc.greedy import GreedySolver
 from repro.core.iep.engine import IEPEngine
-from repro.core.iep.operations import AtomicOperation
+from repro.core.iep.operations import AtomicOperation, EtaDecrease
 from repro.core.metrics import total_utility
 from repro.core.model import Instance
 from repro.core.plan import GlobalPlan, PlanSummary
@@ -868,13 +868,46 @@ def _read_mismatch(
     )
 
 
+#: An op no tenant can apply (no such event): the service must reject it
+#: alone and apply the rest of its frame.
+_INVALID_OP = EtaDecrease(10**6, 1)
+
+
+def _service_frame(
+    stream: OperationStream,
+    oracle: EBSNPlatform,
+    rng: random.Random,
+) -> list[AtomicOperation]:
+    """One submit frame: usually one operation, else 2-4 of them.
+
+    A multi-op frame may repeat one of its operations (the service folds
+    the pair) and may carry :data:`_INVALID_OP`.  Its operations are all
+    drawn against the state before the frame, so a later one can also
+    turn stale once the earlier ones apply.
+    """
+    if rng.random() < 0.6:
+        return list(stream.mixed(oracle.instance, oracle.plan, 1))
+    frame = list(
+        stream.mixed(oracle.instance, oracle.plan, rng.randint(1, 3))
+    )
+    if rng.random() < 0.5:
+        frame.append(rng.choice(frame))
+    if len(frame) < 2 or rng.random() < 0.3:
+        frame.insert(rng.randint(0, len(frame)), _INVALID_OP)
+    return frame[:4]
+
+
 def _service_seed(
     seed: int, config: FuzzConfig, service: ServiceThread
 ) -> list[FuzzReport]:
-    """Frames carry one operation each, so the wire order *is* the
-    serial order and the oracle needs no coalescing model.  Reads
-    pipelined on a second connection land before, during or after each
-    submit; the oracle's state after every seq is kept to check them."""
+    """Each step sends one submit frame of one to four operations.  The
+    oracle applies ``coalesce_operations(frame)`` serially, as the
+    tenant's batched flush does, so the response's counts, rejected ops
+    and utility are checked against it.  Reads pipelined on a second
+    connection land before, during or after each submit; the oracle's
+    state after every seq is kept to check them."""
+    from repro.scale.batched import coalesce_operations
+
     report = FuzzReport(seed=seed, label=f"seed {seed}")
     tenant = f"fuzz-{seed}"
     oracle = EBSNPlatform(
@@ -910,33 +943,40 @@ def _service_seed(
 
         stream = OperationStream(seed=seed)
         accepted: list[AtomicOperation] = []
+        seq = 0
         states = {0: TwinState(oracle_utility, PlanSummary.of(oracle.plan))}
         for step in range(config.operations):
-            operation = next(
-                iter(stream.mixed(oracle.instance, oracle.plan, 1))
-            )
+            frame = _service_frame(stream, oracle, rng)
             if step % 2:
                 # The submit goes out first, so the reads race its apply.
                 ws_client.send(
                     "submit", tenant=tenant,
-                    ops=[operation_to_dict(operation)],
+                    ops=[operation_to_dict(op) for op in frame],
                 )
                 reads = _send_reads(reader, tenant, rng, config)
                 result = ws_client.receive()
             else:
                 reads = _send_reads(reader, tenant, rng, config)
-                result = http_client.submit(tenant, [operation])
-            report.operations += 1
+                result = http_client.submit(tenant, frame)
+            report.operations += len(frame)
 
-            oracle_applied = True
-            try:
-                entry = oracle.submit(operation)
-            except REJECTION_ERRORS:
-                oracle_applied = False
-            states[step + 1] = TwinState(
-                oracle.audit()["utility"], PlanSummary.of(oracle.plan)
-            )
-            where = f"seed {seed} step {step} ({type(operation).__name__})"
+            survivors, folded = coalesce_operations(frame)
+            applied: list[AtomicOperation] = []
+            rejected: list[AtomicOperation] = []
+            entry = None
+            for operation in survivors:
+                try:
+                    entry = oracle.submit(operation)
+                    applied.append(operation)
+                except REJECTION_ERRORS:
+                    rejected.append(operation)
+                seq += 1
+                states[seq] = TwinState(
+                    oracle.audit()["utility"], PlanSummary.of(oracle.plan)
+                )
+            accepted.extend(applied)
+            kinds = "+".join(type(op).__name__ for op in frame)
+            where = f"seed {seed} step {step} ({kinds})"
             for action, target in reads:
                 report.checks += 1
                 mismatch = _read_mismatch(
@@ -944,18 +984,37 @@ def _service_seed(
                 )
                 if mismatch is not None:
                     report.mismatches.append(mismatch)
-            report.checks += 2
-            if result["applied"] != int(oracle_applied):
+            report.checks += 5
+            served_rejected = [item["op"] for item in result["rejected"]]
+            answered = (
+                result["applied"] + result["folded"] + len(served_rejected)
+            )
+            if answered != len(frame):
                 report.mismatches.append(CacheMismatch(
-                    "service_acceptance", result["applied"],
-                    int(oracle_applied), detail=where,
+                    "service_frame_count", answered, len(frame),
+                    detail=where,
+                ))
+            counts = (result["applied"], result["folded"], served_rejected)
+            expected_counts = (
+                len(applied),
+                folded,
+                [operation_to_dict(op) for op in rejected],
+            )
+            if counts != expected_counts:
+                report.mismatches.append(CacheMismatch(
+                    "service_acceptance", counts, expected_counts,
+                    detail=where,
                 ))
                 continue
-            if oracle_applied:
-                accepted.append(operation)
-                expected = entry.utility_after
-            else:
-                expected = oracle.audit()["utility"]
+            if result["seq"] != seq:
+                report.mismatches.append(CacheMismatch(
+                    "service_seq", result["seq"], seq, detail=where,
+                ))
+            expected = (
+                entry.utility_after
+                if entry is not None
+                else oracle.audit()["utility"]
+            )
             if result["utility"] != expected:
                 report.mismatches.append(CacheMismatch(
                     "service_utility", result["utility"], expected,

@@ -24,22 +24,6 @@ from repro.core.tolerances import BUDGET_TOL
 from repro.obs import get_recorder
 
 
-def _prune_unreachable(instance: Instance, users: np.ndarray) -> np.ndarray:
-    """Drop users the spatial index proves can reach no event.
-
-    Sound and decision-identical: a user with no candidate event has an
-    all-False feasible-mask row (every event fails the same
-    ``2d + fee <= B + tol`` budget test the kernel evaluates), so they can
-    never produce a candidate pair — pruning them only shrinks the kernel
-    pass.  With the plane resident there is no index and this is a
-    no-op.
-    """
-    candidates = instance.candidate_index
-    if candidates is None or users.size == 0:
-        return users
-    return users[candidates.active_user_mask()[users]]
-
-
 class UtilityFill:
     """Greedy utility-descending capacity filler."""
 
@@ -112,7 +96,9 @@ class UtilityFill:
         candidate work is O(1) python:
 
         * the initial feasibility masks come from **one** batched
-          user×event kernel pass (:meth:`GlobalPlan.kernel_block`);
+          user×event kernel pass (:meth:`GlobalPlan.kernel_block`) over
+          every requested user — one who can reach no event within
+          budget has an all-False row and contributes no candidate;
         * a user whose plan has not changed since that pass needs no
           recheck at all — their mask entry is still exact;
         * a changed ("touched") user is recheck-ed with the same checks
@@ -130,7 +116,6 @@ class UtilityFill:
             if only_users is not None
             else np.arange(instance.n_users, dtype=np.intp)
         )
-        users = _prune_unreachable(instance, users)
         open_mask = residual > 0
         if not open_mask.any() or users.size == 0:
             return 0, 0, 0
@@ -260,7 +245,6 @@ class UtilityFill:
             if only_users is not None
             else np.arange(instance.n_users, dtype=np.intp)
         )
-        users = _prune_unreachable(instance, users)
         open_mask = residual > 0
         if not open_mask.any() or users.size == 0:
             return []

@@ -76,29 +76,13 @@ class GreedySolver(GEPCSolver):
             # changes, so priming every row up front in one batched pass is
             # behaviour-identical to the lazy per-user computation — and
             # replaces n_users cold per-user row calls with one user×event pass.
+            # Every user is primed: one who can reach no event within
+            # budget gets an all-False mask row and grabs nothing.
             planes = None
-            # Without the plane, the spatial index tells us which
-            # users can reach at least one event within budget.  A user
-            # with no candidates has an all-False feasible mask (their
-            # empty-plan round trip already busts the budget on every
-            # event — the same 2d+fee bound the mask computes), so
-            # skipping them changes no decision; it only removes provably
-            # dead rows from the prime pass and the grab loop.
-            candidates = instance.candidate_index
-            active_mask = (
-                candidates.active_user_mask()
-                if candidates is not None
-                else None
-            )
             if not kernel_mod.scalar_kernel_active():
-                if candidates is None:
-                    plan.kernel_block(np.arange(instance.n_users))
-                else:
-                    plan.kernel_block(candidates.active_users())
+                plan.kernel_block(np.arange(instance.n_users))
                 planes = kernel_mod.SplicePlanes(instance)
             for user in order:
-                if active_mask is not None and not active_mask[user]:
-                    continue
                 grabbed += self._grab_favourites(
                     instance, plan, remaining, user, planes
                 )

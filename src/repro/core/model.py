@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.geo.distance import DistanceMatrix
-from repro.geo.grid import SpatialCandidateIndex
 from repro.geo.point import Point
 from repro.timeline.conflicts import (
     conflict_matrix,
@@ -136,7 +135,6 @@ class Instance:
         ):
             raise ValueError("one admission fee per event required")
         self._distances: DistanceMatrix | None = None
-        self._candidates: SpatialCandidateIndex | None = None
         self._conflict_matrix: np.ndarray | None = None
         self._event_starts: np.ndarray | None = None
         self._fee_vector: np.ndarray | None = None
@@ -165,7 +163,6 @@ class Instance:
         instance.utility = utility
         instance.cost_model = cost_model
         instance._distances = None
-        instance._candidates = None
         instance._conflict_matrix = None
         instance._event_starts = None
         instance._fee_vector = None
@@ -199,30 +196,6 @@ class Instance:
                 metric=self.cost_model.metric,
             )
         return self._distances
-
-    @property
-    def candidate_index(self) -> SpatialCandidateIndex | None:
-        """Spatial pruning index; ``None`` exactly when the distances
-        hold the user-event plane.
-
-        Built lazily: per-event candidate user sets containing exactly
-        the users whose singleton round trip passes the kernel's own
-        budget test — iterating candidates instead of everyone is
-        bit-identical (see :mod:`repro.geo.grid`).  With the plane
-        resident the solvers scan every user unpruned.
-        """
-        if self._candidates is None:
-            d = self.distances
-            if d.has_plane:
-                return None
-            self._candidates = SpatialCandidateIndex(
-                d.user_coords,
-                np.array([u.budget for u in self.users], dtype=float),
-                d.event_coords,
-                self.fee_vector,
-                self.cost_model.metric,
-            )
-        return self._candidates
 
     @property
     def conflict_matrix(self) -> np.ndarray:
@@ -296,7 +269,6 @@ class Instance:
         self.utility = state["utility"]
         self.cost_model = state["cost_model"]
         self._distances = None
-        self._candidates = None
         self._conflict_matrix = None
         self._event_starts = None
         self._fee_vector = None
@@ -485,20 +457,6 @@ class Instance:
                 instance._distances = self._distances.with_event_location(
                     event_id, updated.location
                 )
-        if self._candidates is not None:
-            # Candidate sets are purely geometric (budget vs round trip),
-            # so bound/time changes carry them by identity; a move patches
-            # only the moved event's set.
-            if not location_changed:
-                instance._candidates = self._candidates
-            else:
-                instance._candidates = self._candidates.with_event_location(
-                    event_id,
-                    np.array(
-                        (updated.location.x, updated.location.y),
-                        dtype=float,
-                    ),
-                )
         if not interval_changed:
             instance._conflict_matrix = self._conflict_matrix
             instance._event_starts = self._event_starts
@@ -537,19 +495,6 @@ class Instance:
                 patched = self._distances.copy()
                 patched.replace_user_location(user_id, updated.location)
                 instance._distances = patched
-        if updated.location == old.location:
-            if updated.budget == old.budget:
-                # Neither geometry nor budget moved: the candidate sets
-                # are unchanged.
-                instance._candidates = self._candidates
-            elif self._candidates is not None:
-                # Budget-only change: patch the one user's membership
-                # exactly instead of rebuilding the whole index.
-                instance._candidates = self._candidates.with_user_budget(
-                    user_id, updated.budget
-                )
-        # A relocation leaves the index to rebuild lazily — one user's
-        # move can change their grid cell and every event's set.
         instance._conflict_matrix = self._conflict_matrix
         instance._event_starts = self._event_starts
         instance._fee_vector = self._fee_vector
@@ -570,7 +515,6 @@ class Instance:
             self.users, self.events, utility, self.cost_model
         )
         instance._distances = self._distances
-        instance._candidates = self._candidates
         instance._conflict_matrix = self._conflict_matrix
         instance._event_starts = self._event_starts
         instance._fee_vector = self._fee_vector
@@ -609,13 +553,6 @@ class Instance:
         if self._distances is not None:
             instance._distances = self._distances.with_appended_event(
                 event.location
-            )
-        if self._candidates is not None:
-            instance._candidates = self._candidates.with_appended_event(
-                np.array(
-                    (event.location.x, event.location.y), dtype=float
-                ),
-                float(fee),
             )
         if self._conflict_matrix is not None:
             row = conflict_row([e.interval for e in events], event.id)

@@ -600,6 +600,20 @@ class GlobalPlan:
             clone._own(user, _units_of(utility, user, plan), list(plan))
         return clone
 
+    def release_caches(self) -> None:
+        """Drop every cached kernel row and the blocked rows of users
+        with empty plans, as :meth:`rebound_to` does for its child.
+
+        A solve leaves a row per user behind, views into block matrices
+        of hundreds of MiB at 10^5 users; the rows are rebuilt lazily on
+        the next read.
+        """
+        plans = self._plans
+        self._blocked = {
+            user: row for user, row in self._blocked.items() if plans[user]
+        }
+        self._kernel_cache = {}
+
     def _fork(self) -> tuple[int, dict[int, int]]:
         """Fold the owned users into the exact total and give up ownership
         of every list (a child is about to share them).  Returns the new

@@ -15,9 +15,10 @@ Design choices that matter to the soak:
 
 * **Local mobility** — the city diameter is much larger than the travel
   budgets, so each user can only reach events in or near their home
-  district.  That is the regime the spatial candidate index
-  (:class:`repro.geo.grid.SpatialCandidateIndex`) is built for, and the
-  regime real city-scale EBSNs exhibit.
+  district.  That keeps the sharded solve's fringe small (its spatial
+  candidate index, :class:`repro.geo.grid.SpatialCandidateIndex`, keeps
+  about 1.2M of the 25.6M pairs at 10^5 x 256), and it is the regime
+  real city-scale EBSNs exhibit.
 * **Cluster-aligned interest** — positive utility concentrates on
   events hosted in the user's home district (plus a sprinkle of
   cross-district interest), mirroring how tag similarity correlates

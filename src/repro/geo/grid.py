@@ -1,12 +1,15 @@
-"""Spatial candidate pruning: per-event candidate user sets from a grid.
+"""Spatial reachability: per-event candidate user sets from a grid.
 
 In city-shaped EBSN workloads most user-event pairs are *unreachable*: a
 lone round trip to the venue plus its admission fee already exceeds the
-user's travel budget.  The kernel's feasibility mask rediscovers that per
-pair on every pass; at million-user scale even scanning those rows is the
-dominant cost.  :class:`SpatialCandidateIndex` removes them up front.
+user's travel budget.  :class:`SpatialCandidateIndex` finds the reachable
+pairs without scanning every one of them.  The sharded solve
+(:mod:`repro.scale`) is its only reader: it builds one index per solve
+and reads it for the partition fringe, the boundary repair and the
+rescue pool.  At 10^5 users x 256 events it keeps about 1.2M of the
+25.6M pairs.
 
-Soundness (why skipping pruned pairs is bit-identical):
+Soundness (why restricting to candidates is bit-identical):
 
 Any route of user ``u`` that contains event ``e`` visits ``e`` between two
 legs anchored at ``u``'s home, so under a metric travel cost it is at
@@ -18,9 +21,9 @@ check, whatever the rest of the plan looks like.  The index keeps exactly
 the complementary set: ``candidate_users(e)`` is bit-for-bit the set of
 users whose singleton round trip to ``e`` passes the same
 ``<= B_u + BUDGET_TOL`` comparison the kernel mask evaluates (the exact
-refinement below reuses the metric's own ``cross_coords`` floats), so a
-solver that iterates candidates only — and a solver that scans everyone —
-make identical decisions.
+refinement below reuses the metric's own ``cross_coords`` floats, the
+same floats a resident plane holds), so a pass that tries candidates
+only and a pass that tries everyone make identical decisions.
 
 The grid itself is a uniform bucketing of *user* homes.  Per event, whole
 cells are discarded with a rectangle lower bound
@@ -85,18 +88,11 @@ class SpatialCandidateIndex:
         self._candidates: list[np.ndarray] = [
             self._compute_candidates(e) for e in range(self.n_events)
         ]
-        self._active_mask: np.ndarray | None = None
+        kept = int(sum(c.size for c in self._candidates))
         obs = get_recorder()
         obs.count("grid.builds")
-        obs.count(
-            "grid.candidate_pairs",
-            int(sum(c.size for c in self._candidates)),
-        )
-        obs.count(
-            "grid.pruned_pairs",
-            int(self.n_users) * int(self.n_events)
-            - int(sum(c.size for c in self._candidates)),
-        )
+        obs.count("grid.candidate_pairs", kept)
+        obs.count("grid.pruned_pairs", self.n_users * self.n_events - kept)
 
     # ------------------------------------------------------------------ #
     # Construction internals
@@ -108,7 +104,6 @@ class SpatialCandidateIndex:
         if n == 0:
             self._cell_slices = np.zeros(1, dtype=np.intp)
             self._sorted_users = np.zeros(0, dtype=np.intp)
-            self._user_rank = np.zeros(0, dtype=np.intp)
             self._cell_lo = np.zeros((0, 2))
             self._cell_hi = np.zeros((0, 2))
             self._cell_max_budget = np.zeros(0)
@@ -139,10 +134,6 @@ class SpatialCandidateIndex:
         # boundaries of each occupied cell's run inside ``_sorted_users``.
         unique_cells, starts = np.unique(sorted_cells, return_index=True)
         self._sorted_users = order
-        # Inverse permutation: a user's position inside ``_sorted_users``
-        # (used to locate their cell without an O(n) scan).
-        self._user_rank = np.empty(n, dtype=np.intp)
-        self._user_rank[order] = np.arange(n, dtype=np.intp)
         self._cell_slices = np.append(starts, n).astype(np.intp)
         n_cells = unique_cells.size
         cell_lo = np.empty((n_cells, 2))
@@ -210,127 +201,3 @@ class SpatialCandidateIndex:
         row = self._candidates[event].view()
         row.flags.writeable = False
         return row
-
-    def candidate_count(self, event: int) -> int:
-        return int(self._candidates[event].size)
-
-    def active_user_mask(self) -> np.ndarray:
-        """Boolean mask of users with at least one candidate event.
-
-        A ``False`` user can never attend anything: every event fails the
-        singleton budget bound, which lower-bounds every richer plan.
-        Read-only; cached.
-        """
-        if self._active_mask is None:
-            mask = np.zeros(self.n_users, dtype=bool)
-            for candidates in self._candidates:
-                mask[candidates] = True
-            mask.flags.writeable = False
-            self._active_mask = mask
-        return self._active_mask
-
-    def active_users(self) -> np.ndarray:
-        """Sorted ids of users with at least one candidate event."""
-        return np.flatnonzero(self.active_user_mask()).astype(np.intp)
-
-    def candidate_pairs(self) -> int:
-        """Total kept (user, event) pairs across all events."""
-        return int(sum(c.size for c in self._candidates))
-
-    # ------------------------------------------------------------------ #
-    # Functional updates (mirror the Instance.with_* cache carries)
-    # ------------------------------------------------------------------ #
-
-    def with_event_location(
-        self, event: int, coord: np.ndarray
-    ) -> "SpatialCandidateIndex":
-        """A patched copy for one moved event: only its candidate set is
-        recomputed; the grid and every other event's set are shared."""
-        clone = self._shallow_clone()
-        coords = self._event_coords.copy()
-        coords[event] = np.asarray(coord, dtype=float)
-        clone._event_coords = coords
-        clone._candidates = list(self._candidates)
-        clone._candidates[event] = clone._compute_candidates(event)
-        clone._active_mask = None
-        return clone
-
-    def with_appended_event(
-        self, coord: np.ndarray, fee: float
-    ) -> "SpatialCandidateIndex":
-        """An extended copy with one more event column (IEP ``NewEvent``)."""
-        clone = self._shallow_clone()
-        clone._event_coords = np.vstack(
-            [self._event_coords, np.asarray(coord, dtype=float)[None, :]]
-        )
-        clone._fees = np.append(self._fees, float(fee))
-        clone._candidates = list(self._candidates)
-        clone._candidates.append(
-            clone._compute_candidates(self.n_events)
-        )
-        clone._active_mask = None
-        return clone
-
-    def with_user_budget(
-        self, user: int, budget: float
-    ) -> "SpatialCandidateIndex":
-        """A patched copy for one user's new budget (IEP ``BudgetChange``).
-
-        Exact in O(m): the user's feasibility against every event is
-        recomputed with the same ``cross_coords`` floats and the same
-        ``<= B + tol`` comparison the full rebuild uses, and their id is
-        inserted into / removed from each event's sorted candidate row
-        accordingly.  The cell-level max budget is kept an *upper bound*
-        (raised on increase, left stale-high on decrease) — a loose bound
-        only makes future per-event recomputes prune fewer cells, never
-        discard a feasible user, so later ``with_event_location`` /
-        ``with_appended_event`` patches stay exact.
-        """
-        user = int(user)
-        budget = float(budget)
-        clone = self._shallow_clone()
-        budgets = self._budgets.copy()
-        budgets[user] = budget
-        clone._budgets = budgets
-        if self._cell_max_budget.size:
-            rank = int(self._user_rank[user])
-            cell = int(
-                np.searchsorted(self._cell_slices, rank, side="right") - 1
-            )
-            if budget > self._cell_max_budget[cell]:
-                raised = self._cell_max_budget.copy()
-                raised[cell] = budget
-                clone._cell_max_budget = raised
-        distances = self._metric.cross_coords(
-            self._user_coords[user : user + 1], self._event_coords
-        )[0]
-        feasible = 2.0 * distances + self._fees <= budget + self._tol
-        clone._candidates = list(self._candidates)
-        for event in range(self.n_events):
-            row = self._candidates[event]
-            pos = int(np.searchsorted(row, user))
-            present = pos < row.size and row[pos] == user
-            if feasible[event] and not present:
-                clone._candidates[event] = np.insert(row, pos, user)
-            elif not feasible[event] and present:
-                clone._candidates[event] = np.delete(row, pos)
-        clone._active_mask = None
-        return clone
-
-    def _shallow_clone(self) -> "SpatialCandidateIndex":
-        clone = object.__new__(SpatialCandidateIndex)
-        clone._user_coords = self._user_coords
-        clone._budgets = self._budgets
-        clone._event_coords = self._event_coords
-        clone._fees = self._fees
-        clone._metric = self._metric
-        clone._tol = self._tol
-        clone._sorted_users = self._sorted_users
-        clone._user_rank = self._user_rank
-        clone._cell_slices = self._cell_slices
-        clone._cell_lo = self._cell_lo
-        clone._cell_hi = self._cell_hi
-        clone._cell_max_budget = self._cell_max_budget
-        clone._candidates = self._candidates
-        clone._active_mask = self._active_mask
-        return clone

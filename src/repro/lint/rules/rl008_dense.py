@@ -10,10 +10,10 @@ reintroduces that memory wall, and breaks outright on a large instance
 even though every small test instance holds the plane.
 
 The rule flags any ``<expr>.user_event_matrix`` attribute access outside
-the geometry layer (``repro.geo``, which owns the plane).  Sites that
-are provably on a plane-resident branch (an oracle comparison, a branch
-taken only when ``Instance.candidate_index`` is ``None``) carry an
-inline ``# repro-lint: ignore[RL008] <reason>`` suppression instead.
+the geometry layer (``repro.geo``, which owns the plane).  A site that
+is provably on a plane-resident branch (an oracle comparison in a
+test) carries an inline ``repro-lint: ignore`` suppression naming the
+rule and a reason instead; ``src/`` has none.
 
 ``event_event_matrix`` is *not* flagged: events number hundreds where
 users number hundreds of thousands, so the ``O(m^2)`` block is not the

@@ -123,6 +123,9 @@ class EBSNPlatform:
         with obs.span("platform.publish"):
             solution = self._solver.solve(self._instance)
         self._plan = solution.plan
+        # The solve's kernel rows would live until the first op rebinds
+        # the plan away; free them before serving instead.
+        self._plan.release_caches()
         utility = total_utility(self._instance, self._plan)
         self._last_utility = utility
         obs.gauge("platform.published_utility", utility)

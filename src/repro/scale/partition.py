@@ -16,7 +16,10 @@ outside their home shard, where reachable means positive utility and a
 singleton round trip within budget (``2 * d(u, e) + fee_e <= B_u``).
 The sharded solver re-runs the step-2 filler on exactly these users after
 merging, so no cross-shard utility is silently unreachable (see
-``docs/scaling.md``).
+``docs/scaling.md``).  Reachability comes from one
+:class:`~repro.geo.grid.SpatialCandidateIndex` per partition, built the
+same way on either distance path; the :class:`Partition` carries it for
+the solver's boundary repair and rescue.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.model import Instance
-from repro.core.tolerances import BUDGET_TOL
+from repro.geo.grid import SpatialCandidateIndex
 from repro.obs import get_recorder
 
 
@@ -60,7 +63,8 @@ class Partition:
     Every user and every event belongs to exactly one shard;
     ``fringe_users`` are the (global) users whose reachable events span
     more than their home shard — the set the post-merge boundary repair
-    re-fills.
+    re-fills.  ``index`` is the whole instance's spatial candidate
+    index, the one the fringe was computed from.
     """
 
     k: int
@@ -68,6 +72,7 @@ class Partition:
     event_shard: np.ndarray
     user_shard: np.ndarray
     centroids: np.ndarray
+    index: SpatialCandidateIndex
     shards: list[Shard] = field(default_factory=list)
     fringe_users: frozenset[int] = frozenset()
 
@@ -126,6 +131,33 @@ def _kmeans(
     return labels, centroids
 
 
+def _candidate_index(instance: Instance) -> SpatialCandidateIndex:
+    """The spatial candidate index of ``instance``.
+
+    Built from the distances' coordinate arrays on either path, so its
+    refinement computes the same ``cross_coords`` floats a resident
+    plane holds.
+    """
+    d = instance.distances
+    return SpatialCandidateIndex(
+        d.user_coords,
+        np.array([u.budget for u in instance.users], dtype=float),
+        d.event_coords,
+        instance.fee_vector,
+        instance.cost_model.metric,
+    )
+
+
+def _reachable(
+    instance: Instance, index: SpatialCandidateIndex
+) -> np.ndarray:
+    """:func:`reachable_matrix` from an already built ``index``."""
+    within = np.zeros((instance.n_users, instance.n_events), dtype=bool)
+    for event in range(instance.n_events):
+        within[index.candidate_users(event), event] = True
+    return (instance.utility > 0.0) & within
+
+
 def reachable_matrix(instance: Instance) -> np.ndarray:
     """Boolean ``n x m``: user could attend the event *as a singleton plan*.
 
@@ -133,27 +165,11 @@ def reachable_matrix(instance: Instance) -> np.ndarray:
     budget.  This is the budget-aware notion of "the user can reach the
     event" the fringe computation uses — any assignment a solver could
     ever make implies singleton reachability, so the fringe over-approxi-
-    mates (never misses) cross-shard opportunities.
+    mates (never misses) cross-shard opportunities.  The candidate sets
+    hold exactly the ``2d + fee <= B + tol`` pairs, so they are scattered
+    instead of materialising a distance plane.
     """
-    candidates = instance.candidate_index
-    if candidates is not None:
-        # No plane: the spatial index already holds exactly the
-        # ``within`` booleans (its refinement evaluates the identical
-        # ``2d + fee <= B + tol`` comparison), so scatter the candidate
-        # sets instead of materialising the full distance plane.
-        within = np.zeros(
-            (instance.n_users, instance.n_events), dtype=bool
-        )
-        for event in range(instance.n_events):
-            within[candidates.candidate_users(event), event] = True
-        return (instance.utility > 0.0) & within
-    budgets = np.array([u.budget for u in instance.users], dtype=float)
-    round_trip = (
-        2.0 * instance.distances.user_event_matrix  # repro-lint: ignore[RL008] no candidate index means the plane is resident
-        + instance.fee_vector
-    )
-    within = round_trip <= budgets[:, None] + BUDGET_TOL
-    return (instance.utility > 0.0) & within
+    return _reachable(instance, _candidate_index(instance))
 
 
 def partition_instance(
@@ -206,9 +222,10 @@ def partition_instance(
             user_shard = np.zeros(instance.n_users, dtype=int)
 
         # Budget-aware fringe: reachable events outside the home shard.
+        index = _candidate_index(instance)
         fringe: frozenset[int] = frozenset()
         if n_shards > 1 and instance.n_users and instance.n_events:
-            reach = reachable_matrix(instance)
+            reach = _reachable(instance, index)
             onehot = np.zeros((instance.n_events, n_shards), dtype=bool)
             onehot[np.arange(instance.n_events), event_shard] = True
             per_shard = reach.astype(np.int32) @ onehot.astype(np.int32)
@@ -236,6 +253,7 @@ def partition_instance(
         event_shard=event_shard,
         user_shard=user_shard,
         centroids=centroids,
+        index=index,
         shards=shards,
         fringe_users=fringe,
     )

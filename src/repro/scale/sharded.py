@@ -41,8 +41,8 @@ from repro.obs import Recorder, get_recorder
 from repro.scale.partition import (
     Partition,
     Shard,
+    _reachable,
     partition_instance,
-    reachable_matrix,
 )
 
 
@@ -80,7 +80,11 @@ def _repair_candidates(
         rescued_mask = np.zeros(instance.n_events, dtype=bool)
         rescued_mask[sorted(rescued_events)] = True
         invisible = invisible | rescued_mask[None, :]
-    candidates = reachable_matrix(instance) & residual[None, :] & invisible
+    candidates = (
+        _reachable(instance, partition.index)
+        & residual[None, :]
+        & invisible
+    )
     return set(np.flatnonzero(candidates.any(axis=1)).tolist())
 
 
@@ -179,7 +183,9 @@ class ShardedSolver(GEPCSolver):
         if self._fill and cancelled:
             with obs.span("scale.rescue_cancelled"):
                 before = set(cancelled)
-                rescued = self._rescue_cancelled(instance, plan, cancelled)
+                rescued = self._rescue_cancelled(
+                    instance, plan, cancelled, partition
+                )
                 rescued_events = before - cancelled
 
         repaired = 0
@@ -214,7 +220,11 @@ class ShardedSolver(GEPCSolver):
         )
 
     def _rescue_cancelled(
-        self, instance: Instance, plan: GlobalPlan, cancelled: set[int]
+        self,
+        instance: Instance,
+        plan: GlobalPlan,
+        cancelled: set[int],
+        partition: Partition,
     ) -> int:
         """Retry shard-cancelled events against the *global* user pool.
 
@@ -229,21 +239,15 @@ class ShardedSolver(GEPCSolver):
         Returns the number of assignments committed.
         """
         rescued = 0
-        spatial = instance.candidate_index
         for event in sorted(cancelled):
             spec = instance.events[event]
-            # Without the plane, only this event's spatial candidates
-            # can ever pass can_attend's budget check (the candidate test
-            # is the same 2d+fee bound), so restricting the pool skips no
-            # user the dense scan could have added — the committed adds,
-            # and their order, are identical.
-            pool = (
-                range(instance.n_users)
-                if spatial is None
-                else spatial.candidate_users(event).tolist()
-            )
+            # Only this event's spatial candidates can ever pass
+            # can_attend's budget check (the candidate test is the same
+            # 2d+fee bound), so restricting the pool skips no user a full
+            # scan could have added — the committed adds, and their
+            # order, are identical.
             order = sorted(
-                pool,
+                partition.index.candidate_users(event).tolist(),
                 key=lambda u: (-float(instance.utility[u, event]), u),
             )
             added: list[int] = []

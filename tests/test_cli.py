@@ -148,12 +148,12 @@ class TestDistanceFlag:
         with use_distance_backend("tiled"):
             code = main(
                 ["solve", "--city", "beijing", "--scale", "0.3",
-                 "--trace-json", str(trace)]
+                 "--shards", "2", "--trace-json", str(trace)]
             )
         assert code == 0
-        # The scoped pin reaches the solve: without a plane, greedy
-        # builds the spatial candidate index.
-        assert json.loads(trace.read_text())["counters"]["grid.builds"] >= 1
+        # The scoped pin reaches the solve, and the sharded solve builds
+        # its spatial candidate index once.
+        assert json.loads(trace.read_text())["counters"]["grid.builds"] == 1
 
     def test_fuzz_tiled(self, capsys):
         from repro.geo import distance

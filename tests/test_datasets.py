@@ -223,16 +223,13 @@ class TestScaleGenerator:
 
     def test_geography_is_cluster_local(self):
         # City diameter >> budgets, so reachability (and with it the
-        # candidate density the tiled soak relies on) stays sparse.
+        # fringe the sharded solve re-fills) stays sparse.
         from repro.core.tiles import use_distance_backend
+        from repro.scale import reachable_matrix
 
         with use_distance_backend("tiled"):
             instance = self._small()
-            index = instance.candidate_index
-            assert index is not None
-            density = index.candidate_pairs() / (
-                instance.n_users * instance.n_events
-            )
+            density = reachable_matrix(instance).mean()
         assert density < 0.25
 
     def test_utility_sparse_and_cluster_aligned(self):

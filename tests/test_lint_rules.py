@@ -404,8 +404,8 @@ def test_rl008_flags_row_free_serving_rewrites():
         """,
         module="repro.scale.rogue",
     )
-    # The inline suppression mechanism silences it, as at the one
-    # real dense-oracle branch (partition.reachable_matrix).
+    # The inline suppression mechanism silences it, as at the tests'
+    # dense-oracle comparisons.
     assert codes(result) == []
 
 

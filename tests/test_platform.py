@@ -110,6 +110,23 @@ class TestPlatform:
         assert deep["cache_checks"] > 0
         assert deep["cache_mismatches"] == 0.0
 
+    def test_publish_frees_the_solves_kernel_rows(self):
+        # The solve caches a kernel row per user and a blocked row per
+        # user it touched; the published plan keeps only the blocked rows
+        # of users with plans, and the audit still finds them consistent.
+        instance = random_instance(5, n_users=30, n_events=8)
+        platform = EBSNPlatform(instance, solver=GreedySolver(seed=5))
+        platform.publish_plans()
+        plan = platform.plan
+        assert plan._kernel_cache == {}
+        assert plan._blocked
+        assert all(plan.user_plan(user) for user in plan._blocked)
+        assert platform.audit(deep=True)["cache_mismatches"] == 0.0
+        stream = OperationStream(seed=5)
+        for operation in stream.mixed(platform.instance, platform.plan, 1):
+            platform.submit(operation)
+        assert platform.audit(deep=True)["cache_mismatches"] == 0.0
+
     def test_custom_solver_used(self, paper_instance):
         class Probe(GreedySolver):
             called = False

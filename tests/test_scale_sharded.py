@@ -5,12 +5,16 @@ import pytest
 from repro.check.auditor import InvariantAuditor
 from repro.core.constraints import check_plan
 from repro.core.gepc import GreedySolver
+from repro.core.iep.operations import BudgetChange, LocationChange, NewEvent
 from repro.core.metrics import total_utility
 from repro.core.plan import PlanSummary
 from repro.core.tiles import use_distance_backend
 from repro.datasets import make_city
+from repro.geo.point import Point
 from repro.obs import Recorder, recording
+from repro.platform.service import EBSNPlatform
 from repro.scale import ShardedSolver
+from repro.timeline.interval import Interval
 from tests.conftest import random_instance
 
 SMALL_CITIES = ["beijing", "auckland", "singapore"]
@@ -51,20 +55,15 @@ def test_sharded_random_instances_feasible(seed):
 
 
 #: ``greedy.*``/``fill.*`` totals of ``ShardedSolver(shards=4, seed=0)`` on
-#: beijing at scale 0.5.  On the coordinate path greedy sees its spatial
-#: candidates only, so it evaluates (and feasibility-checks) fewer pairs.
+#: beijing at scale 0.5, the same on both distance paths.
 _SHARDED_COUNTERS = {
     "fill.added": 108.0,
     "fill.candidates": 127.0,
     "fill.feasibility_checks": 127.0,
+    "greedy.candidates_evaluated": 88.0,
     "greedy.copies_grabbed": 61.0,
     "greedy.events_cancelled": 2.0,
-}
-_SHARDED_GREEDY_SCANS = {
-    "dense": {"greedy.candidates_evaluated": 88.0,
-              "greedy.feasibility_checks": 63.0},
-    "tiled": {"greedy.candidates_evaluated": 86.0,
-              "greedy.feasibility_checks": 62.0},
+    "greedy.feasibility_checks": 63.0,
 }
 
 
@@ -81,7 +80,33 @@ def test_shard_counters_reach_the_callers_recorder(backend):
         for key, value in recorder.counters.items()
         if key.startswith(("greedy.", "fill."))
     }
-    assert totals == {**_SHARDED_COUNTERS, **_SHARDED_GREEDY_SCANS[backend]}
+    assert totals == _SHARDED_COUNTERS
+
+
+def test_only_the_sharded_solve_builds_the_candidate_index():
+    """On the coordinate path a greedy publish and the budget, location
+    and new-event ops build no spatial index; a sharded solve builds one
+    for the whole instance and none per shard."""
+    with use_distance_backend("tiled"):
+        instance = make_city("beijing", scale=0.5)
+        platform = EBSNPlatform(instance, solver=GreedySolver(seed=0))
+        with recording(Recorder()) as recorder:
+            platform.publish_plans()
+            platform.submit(BudgetChange(0, 50.0))
+            platform.submit(LocationChange(1, Point(0.0, 0.0)))
+            platform.submit(
+                NewEvent(
+                    location=Point(1.0, 1.0),
+                    lower=0,
+                    upper=3,
+                    interval=Interval(0.0, 1.0),
+                    utilities=(0.5,) * instance.n_users,
+                )
+            )
+        assert recorder.counters.get("grid.builds", 0.0) == 0.0
+        with recording(Recorder()) as recorder:
+            ShardedSolver(shards=4, seed=0).solve(instance)
+    assert recorder.counters["grid.builds"] == 1.0
 
 
 def test_double_solve_is_deterministic():

@@ -488,9 +488,13 @@ def test_reads_leave_the_published_plans_caches_alone(tmp_path):
 
     async def probe() -> None:
         manager, app = await _published_app(tmp_path)
+        # Publish frees the solve's rows; a submit warms some again.
+        ops = encode_operations([BudgetChange(0, 30.0), BudgetChange(1, 5.0)])
+        response, status = await app.dispatch_raw(
+            _frame("submit", tenant="t", ops=ops)
+        )
+        assert status == 200, response
         plan = manager.get("t").record.plan
-        plan.insertion_deltas(0)
-        plan.blocked_counts(0)
         blocked = dict(plan._blocked)
         kernel = dict(plan._kernel_cache)
         assert blocked and kernel

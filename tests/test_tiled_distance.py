@@ -5,9 +5,9 @@ The contract under test (see ``src/repro/geo/distance.py``): a
 small instances and from coordinates on large ones, and every *served*
 value — scalar, row, batch, event-event, through every copy, slice and
 patch and under every travel metric — is bit-identical on both paths.
-The spatial candidate index, built exactly when there is no plane, must
-prune *soundly*: exactly the pairs the kernel's own budget test would
-reject, nothing more.
+The spatial candidate index the sharded solve builds must prune
+*soundly* on either path: exactly the pairs the kernel's own budget test
+would reject, nothing more.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.core.tiles import use_distance_backend
 from repro.core.tolerances import BUDGET_TOL
 from repro.geo import distance
 from repro.geo.distance import PLANE_CELL_LIMIT, DistanceMatrix
-from repro.geo.grid import SpatialCandidateIndex
 from repro.geo.matrix_metric import (
     EVENT_SIDE,
     USER_SIDE,
@@ -35,6 +34,7 @@ from repro.geo.matrix_metric import (
 )
 from repro.geo.metrics import EUCLIDEAN, MANHATTAN
 from repro.geo.point import Point
+from repro.scale import partition_instance
 from repro.service.tenants import TenantSpec
 from repro.timeline.interval import Interval
 from tests.conftest import random_instance, served_user_event_plane
@@ -375,16 +375,6 @@ def test_size_rule_keeps_the_plane_only_on_small_instances(size_rule):
     tenant = TenantSpec(name="t", users=200, events=20, seed=1)
     instance = tenant.build_instance()
     assert instance.distances.has_plane
-    assert instance.candidate_index is None
-
-
-@pytest.mark.parametrize("path", ["dense", "tiled"])
-def test_candidate_index_exists_exactly_without_the_plane(path):
-    with use_distance_backend(path):
-        instance = random_instance(2, n_users=12, n_events=4)
-        has_plane = instance.distances.has_plane
-    assert has_plane == (path == "dense")
-    assert (instance.candidate_index is None) == has_plane
 
 
 def test_tile_stats_keeps_the_benchmark_keys():
@@ -430,90 +420,55 @@ def _bruteforce_candidates(instance: Instance) -> list[np.ndarray]:
 
 @pytest.mark.parametrize("seed", [0, 2, 5, 13])
 def test_candidate_index_matches_bruteforce(seed):
-    with use_distance_backend("tiled"):
-        instance = random_instance(
-            seed, n_users=60, n_events=7, budget_range=(2.0, 9.0)
-        )
-        index = instance.candidate_index
-    assert index is not None
-    expected = _bruteforce_candidates(instance)
-    for event in range(instance.n_events):
-        assert np.array_equal(index.candidate_users(event), expected[event])
-        assert index.candidate_count(event) == expected[event].size
-    mask = index.active_user_mask()
-    active = set()
-    for cands in expected:
-        active.update(int(u) for u in cands)
-    assert set(np.flatnonzero(mask)) == active
-
-
-def test_candidate_index_absent_under_dense():
-    with use_distance_backend("dense"):
-        instance = random_instance(1, n_users=10, n_events=3)
-        assert instance.candidate_index is None
-
-
-@pytest.mark.parametrize("budget", [0.5, 6.0, 50.0])
-def test_with_user_budget_patch_matches_fresh_rebuild(budget):
-    with use_distance_backend("tiled"):
-        instance = random_instance(
-            7, n_users=60, n_events=7, budget_range=(2.0, 9.0)
-        )
-        index = instance.candidate_index
-        assert index is not None
-        user = 31
-        patched = index.with_user_budget(user, budget)
-        fresh_budgets = np.array(
-            [u.budget for u in instance.users], dtype=float
-        )
-        fresh_budgets[user] = budget
-        d = instance.distances
-        fresh = SpatialCandidateIndex(
-            d.user_coords,
-            fresh_budgets,
-            d.event_coords,
-            instance.fee_vector,
-            instance.cost_model.metric,
-        )
-    for event in range(instance.n_events):
-        assert np.array_equal(
-            patched.candidate_users(event), fresh.candidate_users(event)
-        )
+    # The sharded solve builds its index on either path and under any
+    # metric; every build keeps exactly the brute-force pairs.
+    for metric in ("euclidean", "manhattan", "matrix"):
+        for instance in _twin_instances(
+            seed, metric, n_users=60, n_events=7, budget_range=(2.0, 9.0)
+        ):
+            index = partition_instance(instance, 1).index
+            expected = _bruteforce_candidates(instance)
+            for event in range(instance.n_events):
+                assert np.array_equal(
+                    index.candidate_users(event), expected[event]
+                ), (metric, instance.distances.has_plane, event)
 
 
 def test_with_user_budget_rides_through_instance_update():
-    with use_distance_backend("tiled"):
-        instance = random_instance(
-            9, n_users=40, n_events=5, budget_range=(2.0, 9.0)
-        )
-        instance.candidate_index  # warm the index so the patch path runs
-        updated = instance.with_user(11, budget=100.0)
-        index = updated.candidate_index
-    expected = _bruteforce_candidates(updated)
-    for event in range(updated.n_events):
-        assert np.array_equal(index.candidate_users(event), expected[event])
+    # An index built after a budget change reads the new budget.
+    for path in ("dense", "tiled"):
+        with use_distance_backend(path):
+            instance = random_instance(
+                9, n_users=40, n_events=5, budget_range=(2.0, 9.0)
+            )
+            updated = instance.with_user(11, budget=100.0)
+            index = partition_instance(updated, 1).index
+        expected = _bruteforce_candidates(updated)
+        assert expected[0].size < updated.n_users
+        for event in range(updated.n_events):
+            assert np.array_equal(
+                index.candidate_users(event), expected[event]
+            )
+            assert 11 in index.candidate_users(event)
 
 
 def test_candidate_index_tracks_event_relocation_and_append():
-    with use_distance_backend("tiled"):
-        instance = random_instance(
-            12, n_users=40, n_events=5, budget_range=(2.0, 9.0)
-        )
-        instance.candidate_index
-        moved = instance.with_event(2, location=Point(0.0, 0.0))
-        expected = _bruteforce_candidates(moved)
-        index = moved.candidate_index
-        for event in range(moved.n_events):
-            assert np.array_equal(
-                index.candidate_users(event), expected[event]
+    # An index built after a move or an appended event reads the
+    # distances' patched coordinates and the appended fee.
+    for path in ("dense", "tiled"):
+        with use_distance_backend(path):
+            instance = random_instance(
+                12, n_users=40, n_events=5, budget_range=(2.0, 9.0)
             )
-        new = Event(5, Point(5.0, 5.0), 0, 2, Interval(60.0, 61.0))
-        appended = moved.with_new_event(
-            new, np.linspace(0.0, 1.0, moved.n_users)
-        )
-        expected = _bruteforce_candidates(appended)
-        index = appended.candidate_index
-        for event in range(appended.n_events):
-            assert np.array_equal(
-                index.candidate_users(event), expected[event]
+            moved = instance.with_event(2, location=Point(0.0, 0.0))
+            new = Event(5, Point(5.0, 5.0), 0, 2, Interval(60.0, 61.0))
+            appended = moved.with_new_event(
+                new, np.linspace(0.0, 1.0, moved.n_users), fee=0.5
             )
+            for updated in (moved, appended):
+                index = partition_instance(updated, 1).index
+                expected = _bruteforce_candidates(updated)
+                for event in range(updated.n_events):
+                    assert np.array_equal(
+                        index.candidate_users(event), expected[event]
+                    )
